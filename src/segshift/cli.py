@@ -296,12 +296,17 @@ def cmd_fit(args) -> int:
 
 def _load_model(path):
     doc = _load_json(path)
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "mr":
-        return MRModel.from_dict(doc)
-    if kind in ("dr", "dr-sf"):
-        return DRModel.from_dict(doc)
-    raise _usage(f"{path}: unknown model kind {kind!r}")
+        reader = MRModel.from_dict
+    elif kind in ("dr", "dr-sf"):
+        reader = DRModel.from_dict
+    else:
+        raise _usage(f"{path}: unknown model kind {kind!r}")
+    try:
+        return reader(doc)
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
+        raise _usage(f"{path}: malformed {kind} model: {exc!r}") from exc
 
 
 def _model_task(model) -> TaskKind:
@@ -356,13 +361,21 @@ def cmd_evaluate(args) -> int:
         raise _usage(f"metric {kind!r} is not defined for regression")
     if task.kind != "regression" and kind == "mse":
         raise _usage("metric 'mse' is not defined for classification")
-    baseline_preds = None
+    baseline = None
     baseline_name = None
     if args.baseline_model:
         baseline = _load_model(args.baseline_model)
-        baseline_preds = baseline.predict(test.features, test.segment_id)
+        # the test columns are read in the model's feature order
+        if baseline.feature_names != model.feature_names:
+            raise _usage(
+                f"{args.baseline_model}: baseline features {list(baseline.feature_names)} "
+                f"differ from the model's {list(model.feature_names)}"
+            )
         baseline_name = os.path.basename(args.baseline_model)
     try:
+        baseline_preds = (
+            None if baseline is None else baseline.predict(test.features, test.segment_id)
+        )
         preds = model.predict(test.features, test.segment_id)
         report = per_segment_report(
             test.labels,

@@ -9,8 +9,15 @@ Two determinism guarantees beyond seeding: training rows are put into a
 canonical content order before fitting, so fitted models are invariant to
 input row order, and sample weights are rescaled to mean one, so models
 are invariant to the overall weight scale.
+
+Prediction packs trees into one flat forest of tree groups, one group per
+(model, class), and walks it once: every row descends every tree for
+exactly the forest's depth, because leaves route to themselves. Each
+group's leaf values are then summed sequentially in round order, so a
+row's margin is the same bits whatever batch it is predicted in.
 """
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,7 +87,12 @@ def refine_config(seed: int = 0, **overrides) -> GBTConfig:
 
 @dataclass
 class Tree:
-    """One regression tree as flat node arrays; leaves have feature == -1."""
+    """One regression tree as flat node arrays; leaves have feature == -1.
+
+    Children come after their parent (``parent < child < n_nodes``), so
+    every path ends. Fitted trees are built that way; ``GBTModel.from_dict``
+    checks it for the trees it reads.
+    """
 
     feature: np.ndarray  # int32
     threshold: np.ndarray  # float64, predicate: x[feature] < threshold goes left
@@ -117,56 +129,148 @@ class Tree:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        nodes = d["nodes"]
-        return cls(
-            feature=np.asarray([n["feature"] for n in nodes], dtype=np.int32),
-            threshold=np.asarray([n["threshold"] for n in nodes]),
-            left=np.asarray([n["left"] for n in nodes], dtype=np.int32),
-            right=np.asarray([n["right"] for n in nodes], dtype=np.int32),
-            value=np.asarray([n["value"] for n in nodes]),
-            class_k=int(d["class_k"]),
+
+_NODE_FIELDS = (
+    ("feature", np.int32),
+    ("threshold", np.float64),
+    ("left", np.int32),
+    ("right", np.int32),
+    ("value", np.float64),
+)
+
+
+def _read_trees(docs: list, n_features: int) -> list:
+    """Trees from their dicts, rejecting node links a walk could not follow.
+
+    An internal node (feature != -1) must split on a feature in
+    [0, n_features) and name two children in (node, n_nodes) of its tree.
+    The model's nodes are read into one array per field, and the trees are
+    views of them: numpy calls per tree would cost more than the parse.
+    """
+    if not docs:
+        return []
+    sizes = np.asarray([len(t["nodes"]) for t in docs], dtype=np.intp)
+    if np.any(sizes == 0):
+        raise ValueError("tree has no nodes")
+    nodes = [n for t in docs for n in t["nodes"]]
+    feature, threshold, left, right, value = (
+        np.array([n[key] for n in nodes], dtype=dtype)
+        for key, dtype in _NODE_FIELDS
+    )
+    starts = np.cumsum(sizes) - sizes
+    internal = feature != -1
+    node = (np.arange(len(feature)) - np.repeat(starts, sizes))[internal]
+    n_nodes = np.repeat(sizes, sizes)[internal]
+    if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
+        raise ValueError(f"tree splits on a feature outside [0, {n_features})")
+    for side, child in (("left", left[internal]), ("right", right[internal])):
+        if np.any((child <= node) | (child >= n_nodes)):
+            raise ValueError(f"tree {side} child index is not in (node, n_nodes)")
+    return [
+        Tree(
+            feature=feature[i : i + m],
+            threshold=threshold[i : i + m],
+            left=left[i : i + m],
+            right=right[i : i + m],
+            value=value[i : i + m],
+            class_k=int(t["class_k"]),
         )
+        for t, i, m in zip(docs, starts.tolist(), sizes.tolist())
+    ]
+
+
+# Elements of one (trees, rows) work array: the row chunk of a traversal is
+# this divided by the tree count, so memory does not grow with the forest.
+_CHUNK_ELEMENTS = 1 << 17
+
+
+# A single leaf of value 0.0 pads short groups at their end: adding 0.0
+# leaves a sum unchanged.
+_ZERO_TREE = Tree(
+    feature=np.array([-1], dtype=np.int32),
+    threshold=np.zeros(1),
+    left=np.array([-1], dtype=np.int32),
+    right=np.array([-1], dtype=np.int32),
+    value=np.zeros(1),
+)
 
 
 class _PackedForest:
-    """All trees of one model in contiguous arrays for batched traversal."""
+    """Groups of trees in flat node arrays, walked in one fixed-depth pass.
 
-    def __init__(self, trees):
-        self.feature = np.concatenate([t.feature for t in trees])
-        self.threshold = np.concatenate([t.threshold for t in trees])
+    Leaves route to themselves (left = right = self, feature 0), so after
+    ``depth`` steps every row sits at its leaf in every tree, with no test
+    for rows still moving. Short groups are padded at their end with zero
+    trees, so the leaves of a chunk form one (groups, trees, rows) block.
+    """
+
+    def __init__(self, groups):
+        self.n_groups = len(groups)
+        self.group_size = max((len(g) for g in groups), default=0)
+        trees = [
+            t for g in groups for t in [*g, *[_ZERO_TREE] * (self.group_size - len(g))]
+        ]
+        sizes = [len(t.feature) for t in trees]
+        self.roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        self.depth = 0
+        if not trees:
+            return
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        leaf = feature < 0
+        node = np.arange(len(feature))
+        left = np.concatenate([t.left + r for t, r in zip(trees, self.roots)]).astype(np.intp)
+        right = np.concatenate([t.right + r for t, r in zip(trees, self.roots)]).astype(np.intp)
+        self.left = np.where(leaf, node, left)
+        self.right = np.where(leaf, node, right)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.where(leaf, 0.0, np.concatenate([t.threshold for t in trees]))
         self.value = np.concatenate([t.value for t in trees])
-        offsets = np.cumsum([0] + [len(t.feature) for t in trees])
-        self.roots = offsets[:-1].astype(np.int64)
-        left = np.concatenate([t.left + o for t, o in zip(trees, self.roots)])
-        right = np.concatenate([t.right + o for t, o in zip(trees, self.roots)])
-        leaf = self.feature < 0
-        left[leaf] = 0
-        right[leaf] = 0
-        self.left = left.astype(np.int64)
-        self.right = right.astype(np.int64)
-        self.class_k = np.asarray([t.class_k for t in trees], dtype=np.int64)
-        self.gather_feature = np.where(leaf, 0, self.feature).astype(np.int64)
+        # children follow their parent, so the frontier empties within n_nodes levels
+        frontier = self.roots[~leaf[self.roots]]
+        while frontier.size:
+            self.depth += 1
+            children = np.concatenate([left[frontier], right[frontier]])
+            frontier = np.unique(children[~leaf[children]])
 
-    def accumulate(self, x: np.ndarray, out: np.ndarray) -> None:
-        n = x.shape[0]
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """(n, n_groups): each group's leaf values summed over its trees in order."""
+        n, d = x.shape
         n_trees = len(self.roots)
-        for start in range(0, n, 4096):
-            rows = slice(start, min(start + 4096, n))
-            xc = x[rows]
-            cur = np.broadcast_to(self.roots, (xc.shape[0], n_trees)).copy()
-            while True:
-                feat = self.feature[cur]
-                active = feat >= 0
-                if not active.any():
-                    break
-                vals = xc[np.arange(xc.shape[0])[:, None], self.gather_feature[cur]]
-                nxt = np.where(vals < self.threshold[cur], self.left[cur], self.right[cur])
-                cur = np.where(active, nxt, cur)
-            leaves = self.value[cur]
-            for k in np.unique(self.class_k):
-                out[rows, k] += leaves[:, self.class_k == k].sum(axis=1)
+        out = np.zeros((n, self.n_groups))
+        if n_trees == 0:
+            return out
+        chunk = max(1, _CHUNK_ELEMENTS // n_trees)
+        for start in range(0, n, chunk):
+            xc = np.ascontiguousarray(x[start : start + chunk]).ravel()
+            m = len(xc) // d
+            row_base = np.arange(m) * d
+            node = np.repeat(self.roots, m).reshape(n_trees, m)
+            for _ in range(self.depth):
+                go_left = xc.take(self.feature.take(node) + row_base) < self.threshold.take(node)
+                node = np.where(go_left, self.left.take(node), self.right.take(node))
+            leaves = self.value.take(node).reshape(self.n_groups, self.group_size, m)
+            # cumsum adds tree after tree at every chunk size; a reduction
+            # would switch to pairwise sums for a single row
+            out[start : start + m] = leaves.cumsum(axis=1)[:, -1].T
+        return out
+
+
+_PACK_LOCK = threading.Lock()
+
+
+def cached_forest(owner, groups) -> _PackedForest:
+    """The forest of ``groups()``, packed on first use and kept on ``owner``.
+
+    Safe when threads share ``owner``: the pack is built once, under a lock.
+    """
+    forest = owner.__dict__.get("_packed")
+    if forest is None:
+        with _PACK_LOCK:
+            forest = owner.__dict__.get("_packed")
+            if forest is None:
+                forest = _PackedForest(groups())
+                owner.__dict__["_packed"] = forest
+    return forest
 
 
 @dataclass
@@ -177,14 +281,11 @@ class GBTModel:
     init_margin: np.ndarray | None  # (W,) constant, or None when trained on an external margin
     learning_rate: float
 
-    def _forest(self) -> "_PackedForest | None":
-        if not self.trees:
-            return None
-        packed = getattr(self, "_packed", None)
-        if packed is None:
-            packed = _PackedForest(self.trees)
-            object.__setattr__(self, "_packed", packed)
-        return packed
+    def tree_groups(self) -> list:
+        """This model's trees per class, each in round order."""
+        return [
+            [t for t in self.trees if t.class_k == k] for k in range(self.loss.margin_width)
+        ]
 
     def predict_margin(
         self, x: np.ndarray, base_margin: np.ndarray | None = None
@@ -197,9 +298,8 @@ class GBTModel:
         out = np.zeros((x.shape[0], w))
         if self.init_margin is not None:
             out += self.init_margin
-        forest = self._forest()
-        if forest is not None:
-            forest.accumulate(x, out)
+        if self.trees:
+            out += cached_forest(self, self.tree_groups).sums(x)
         if base_margin is not None:
             out += np.asarray(base_margin, dtype=np.float64).reshape(x.shape[0], w)
         return out[:, 0] if w == 1 else out
@@ -222,12 +322,22 @@ class GBTModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GBTModel":
+        loss = LossKind(d["loss"], d["n_classes"])
+        n_features = int(d["n_features"])
+        width = loss.margin_width
         init = d["init_margin"]
+        if init is not None:
+            init = np.asarray(init, dtype=np.float64)
+            if init.shape != (width,):
+                raise ValueError(f"init_margin must hold {width} values")
+        trees = _read_trees(d["trees"], n_features)
+        if any(not 0 <= t.class_k < width for t in trees):
+            raise ValueError(f"tree class_k outside [0, {width})")
         return cls(
-            loss=LossKind(d["loss"], d["n_classes"]),
-            n_features=int(d["n_features"]),
-            trees=[Tree.from_dict(t) for t in d["trees"]],
-            init_margin=None if init is None else np.asarray(init, dtype=np.float64),
+            loss=loss,
+            n_features=n_features,
+            trees=trees,
+            init_margin=init,
             learning_rate=float(d["learning_rate"]),
         )
 

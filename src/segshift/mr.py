@@ -32,6 +32,7 @@ from .learners import (
     losses,
     refine_config,
 )
+from .learners.gbt import cached_forest
 from .segmentation import (
     ClusterAssignment,
     KernelSpec,
@@ -145,9 +146,26 @@ class BaseEnsemble:
         return len(self.models)
 
     def margins(self, x: np.ndarray) -> np.ndarray:
-        """Stacked raw margins, (n, M+1) or (n, M+1, K) for softmax."""
-        cols = [m.predict_margin(x) for m in self.models]
-        return np.stack(cols, axis=1)
+        """Stacked raw margins, (n, M+1) or (n, M+1, K) for softmax.
+
+        All M+1 boosted models are packed into one forest, on first use, and
+        walked once; each model's trees are summed in round order, so the
+        result equals the stacked per-model ``predict_margin`` bit for bit.
+        Other models (such as linear test doubles) are stacked one by one.
+        """
+        if not all(isinstance(m, GBTModel) for m in self.models):
+            return np.stack([m.predict_margin(x) for m in self.models], axis=1)
+        x = np.asarray(x, dtype=np.float64)
+        n_features = self.models[0].n_features
+        if x.ndim != 2 or x.shape[1] != n_features:
+            raise ValueError(f"expected (n, {n_features}) features")
+        w = self.loss.margin_width
+        init = [np.zeros(w) if m.init_margin is None else m.init_margin for m in self.models]
+        out = np.zeros((x.shape[0], self.n_models * w))
+        out += np.concatenate(init)
+        forest = cached_forest(self, lambda: [g for m in self.models for g in m.tree_groups()])
+        out += forest.sums(x)
+        return out if w == 1 else out.reshape(x.shape[0], self.n_models, w)
 
     def to_dict(self) -> dict:
         return {
@@ -223,10 +241,18 @@ class Stage1Model:
     ball_warning: bool = False
 
     def margin(self, h: np.ndarray) -> np.ndarray:
-        """Combine stacked base margins: (n, M+1) -> (n,), (n, M+1, K) -> (n, K)."""
-        if h.ndim == 2:
-            return h @ self.beta + self.intercept
-        return np.einsum("nmk,m->nk", h, self.beta) + self.intercept
+        """Combine stacked base margins: (n, M+1) -> (n,), (n, M+1, K) -> (n, K).
+
+        The models are added one after another, so a row's margin does not
+        depend on the other rows. A BLAS product would sum in an order that
+        changes with the batch size.
+        """
+        if h.shape[1] != len(self.beta):
+            raise ValueError(f"beta has {len(self.beta)} weights for {h.shape[1]} base models")
+        out = h[:, 0] * self.beta[0]
+        for m in range(1, len(self.beta)):
+            out = out + h[:, m] * self.beta[m]
+        return out + self.intercept
 
     def to_dict(self) -> dict:
         return {
@@ -579,11 +605,15 @@ class MRModel:
             rows = np.flatnonzero(~known)
             fb = self.fallback.predict_margin(x[rows], segments[rows])
             out[rows] = fb.reshape(len(rows), w)
-        for s in np.unique(segments[known]):
-            rows = np.flatnonzero(segments == s)
+        # one ensemble pass serves every known row; then each segment's head
+        known_rows = np.flatnonzero(known)
+        h = self.ensemble.margins(x[known_rows])
+        known_segments = segments[known_rows]
+        for s in np.unique(known_segments):
+            at = known_segments == s
+            rows = known_rows[at]
             seg_model = self.segments[int(s)]
-            h = self.ensemble.margins(x[rows])
-            delta = seg_model.stage1.margin(h)
+            delta = seg_model.stage1.margin(h[at])
             corr = seg_model.refiner.predict_margin(x[rows])
             out[rows] = (delta + corr).reshape(len(rows), w)
         return out[:, 0] if w == 1 else out

@@ -258,3 +258,53 @@ def test_full_chain_byte_deterministic(tmp_path):
         outputs.append(((d / "model.json").read_bytes(), (d / "report.json").read_bytes()))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+def _corrupt_first_tree(tmp_path, **root):
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["ensemble"]["models"][0]["trees"][0]["nodes"][0].update(root)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "root",
+    [dict(left=0, right=0), dict(left=10**6)],
+    ids=["cyclic", "child-out-of-range"],
+)
+def test_predict_malformed_tree_exit_2(tmp_path, capsys, root):
+    run(simulate_args(tmp_path))
+    run(fit_args(tmp_path))
+    bad = _corrupt_first_tree(tmp_path, **root)
+    code = run([
+        "predict",
+        "--model", str(bad),
+        "--data", str(tmp_path / "test.csv"),
+        "--out", str(tmp_path / "preds.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "child index" in err
+
+
+def test_evaluate_baseline_feature_mismatch_exit_2(tmp_path, capsys):
+    run(simulate_args(tmp_path))
+    run(fit_args(tmp_path))
+    # the baseline is fitted on the same rows with one extra feature column
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    for name in ("train.csv", "test.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        rows = [lines[0] + ",extra"] + [f"{line},{i % 7}.0" for i, line in enumerate(lines[1:])]
+        (wide / name).write_text("\n".join(rows) + "\n")
+    assert run(fit_args(wide, method="gbt")) == 0
+    code = run([
+        "evaluate",
+        "--model", str(tmp_path / "model.json"),
+        "--test", str(tmp_path / "test.csv"),
+        "--baseline-model", str(wide / "model.json"),
+        "--out-report", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert "extra" in capsys.readouterr().err

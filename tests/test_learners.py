@@ -331,3 +331,206 @@ def test_gbt_config_validation():
         GBTConfig(subsample=0.0)
     with pytest.raises(ValueError):
         GBTConfig(n_bins=1)
+
+
+# ---------------------------------------------------------------------------
+# packed forest traversal against the node-by-node walk
+
+
+def random_tree(rng, n_features, max_depth, class_k=0, split_p=0.7, x=None):
+    """A random tree in pre-order; splits stop at random, so depths vary."""
+    feat, thr, left, right, value = [], [], [], [], []
+
+    def build(depth):
+        idx = len(feat)
+        feat.append(-1)
+        thr.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.normal()))
+        if depth < max_depth and rng.random() < split_p:
+            j = int(rng.integers(n_features))
+            feat[idx] = j
+            # half the thresholds sit on a data value, so ties are exercised
+            on_value = x is not None and rng.random() < 0.5
+            thr[idx] = float(x[rng.integers(len(x)), j] if on_value else rng.normal())
+            value[idx] = 0.0
+            left[idx] = build(depth + 1)
+            right[idx] = build(depth + 1)
+        return idx
+
+    build(0)
+    return Tree(
+        feature=np.asarray(feat, dtype=np.int32),
+        threshold=np.asarray(thr),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value),
+        class_k=class_k,
+    )
+
+
+def walk_oracle(model, x):
+    """init margin plus each class's Tree.apply values added tree after tree."""
+    w = model.loss.margin_width
+    out = np.zeros((x.shape[0], w))
+    if model.init_margin is not None:
+        out += model.init_margin
+    for k in range(w):
+        trees = [t for t in model.trees if t.class_k == k]
+        if trees:
+            acc = trees[0].apply(x)
+            for t in trees[1:]:
+                acc = acc + t.apply(x)
+            out[:, k] += acc
+    return out[:, 0] if w == 1 else out
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 37, 500])
+@pytest.mark.parametrize(
+    "loss, max_depth, uneven",
+    [(SQ, 0, False), (SQ, 5, False), (LOG, 3, False), (SOFT, 4, False), (SOFT, 3, True)],
+    ids=["depth0", "unbalanced", "logistic", "softmax", "softmax-uneven-classes"],
+)
+def test_packed_walk_matches_tree_apply(monkeypatch, loss, max_depth, uneven, n_rows):
+    from segshift.learners import gbt
+
+    # a small element budget makes 500 rows span many chunks, the last one partial
+    monkeypatch.setattr(gbt, "_CHUNK_ELEMENTS", 1000)
+    rng = np.random.default_rng(100 + max_depth + n_rows)
+    d = 4
+    x = rng.normal(size=(n_rows, d))
+    pool = np.vstack([x, rng.normal(size=(50, d))])
+    w = loss.margin_width
+    # softmax rounds interleave classes: k = 0, 1, 2, 0, 1, 2, ...; uneven
+    # forests give each class its own tree count, one class none at all
+    classes = rng.choice(w - 1, size=20 * w) if uneven else np.arange(24 * w) % w
+    trees = [random_tree(rng, d, max_depth, class_k=int(k), x=pool) for k in classes]
+    init = None if loss.name == "logistic" else rng.normal(size=w)
+    model = GBTModel(loss=loss, n_features=d, trees=trees, init_margin=init, learning_rate=0.1)
+    got = model.predict_margin(x)
+    want = walk_oracle(model, x)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    if n_rows:
+        one = np.stack([model.predict_margin(x[i : i + 1])[0] for i in range(n_rows)])
+        np.testing.assert_array_equal(one, got)
+
+
+def test_packed_walk_matches_fitted_model():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(300, 3))
+    y = np.argmax(x, axis=1)
+    model = fit_gbt(x, y, SOFT, GBTConfig(n_estimators=12, max_depth=4, seed=5))
+    np.testing.assert_array_equal(model.predict_margin(x), walk_oracle(model, x))
+
+
+@pytest.mark.parametrize("n_estimators", [0, 10])
+@pytest.mark.parametrize("loss", [SQ, SOFT])
+def test_ensemble_margins_match_stacked_models(loss, n_estimators):
+    from segshift.mr import BaseEnsemble
+    from segshift.segmentation import ClusterAssignment
+
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(400, 3))
+    y = x[:, 0] - x[:, 1] if loss.name == "squared" else np.argmax(x, axis=1)
+    models = [
+        fit_gbt(x[rows], y[rows], loss, GBTConfig(n_estimators=n_estimators, max_depth=d, seed=d))
+        for rows, d in ((slice(0, 200), 2), (slice(200, 400), 3), (slice(None), 4))
+    ]
+    ens = BaseEnsemble(models=models, assignment=ClusterAssignment(((0,), (1,))), loss=loss)
+    xt = rng.normal(size=(123, 3))
+    want = np.stack([m.predict_margin(xt) for m in models], axis=1)
+    np.testing.assert_array_equal(ens.margins(xt), want)
+    np.testing.assert_array_equal(ens.margins(xt[5:6]), want[5:6])
+
+
+def test_ensemble_pack_built_once_under_threads(monkeypatch):
+    import sys
+    import threading
+    import time
+
+    from segshift.learners import gbt
+    from segshift.mr import BaseEnsemble
+    from segshift.segmentation import ClusterAssignment
+
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(200, 2))
+    y = x[:, 0]
+    models = [fit_gbt(x, y, SQ, GBTConfig(n_estimators=5, seed=s)) for s in range(3)]
+    ens = BaseEnsemble(models=models, assignment=ClusterAssignment(((0,), (1,))), loss=SQ)
+    want = np.stack([m.predict_margin(x) for m in models], axis=1)
+
+    builds = []
+
+    class CountingForest(gbt._PackedForest):
+        def __init__(self, groups):
+            builds.append(1)
+            time.sleep(0.05)  # hold the build open so that racing threads overlap it
+            super().__init__(groups)
+
+    monkeypatch.setattr(gbt, "_PackedForest", CountingForest)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        results[i] = ens.margins(x)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    for r in results:
+        np.testing.assert_array_equal(r, want)
+
+
+def stump_dict(**node0):
+    nodes = [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2, "value": 0.0},
+        {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 1.0},
+        {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 2.0},
+    ]
+    nodes[0].update(node0)
+    return {"class_k": 0, "nodes": nodes}
+
+
+@pytest.mark.parametrize(
+    "node0, match",
+    [
+        (dict(left=0, right=0), "child index"),  # a cycle back to the root
+        (dict(right=7), "child index"),
+        (dict(left=-1), "child index"),
+        (dict(feature=3), "feature"),
+        (dict(feature=-2), "feature"),
+        (None, "no nodes"),
+    ],
+)
+def test_gbt_from_dict_rejects_bad_tree_links(node0, match):
+    x = np.arange(40.0).reshape(-1, 2)
+    doc = fit_gbt(x, x[:, 0], SQ, GBTConfig(n_estimators=3)).to_dict()
+    GBTModel.from_dict(doc)
+    doc["trees"][1] = stump_dict(**node0) if node0 is not None else {"class_k": 0, "nodes": []}
+    with pytest.raises(ValueError, match=match):
+        GBTModel.from_dict(doc)
+
+
+def test_gbt_from_dict_rejects_bad_class_and_init():
+    model = fit_gbt(np.arange(20.0).reshape(-1, 1), np.arange(20.0), SQ, GBTConfig(n_estimators=2))
+    doc = model.to_dict()
+    doc["trees"][1]["class_k"] = 1
+    with pytest.raises(ValueError, match="class_k"):
+        GBTModel.from_dict(doc)
+    doc = model.to_dict()
+    doc["init_margin"] = [0.0, 1.0]
+    with pytest.raises(ValueError, match="init_margin"):
+        GBTModel.from_dict(doc)

@@ -168,6 +168,12 @@ def test_stage1_needs_enough_rows():
         fit_stage1((x, np.zeros(2)), ens)
 
 
+def test_stage1_margin_rejects_beta_of_wrong_length():
+    stage1 = Stage1Model(beta=np.array([1.0]), intercept=np.asarray(0.0), lambda_used=0.0)
+    with pytest.raises(ValueError, match="beta has 1 weights for 2 base models"):
+        stage1.margin(np.zeros((3, 2)))
+
+
 def test_stage1_intercept_absorbs_offset():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(200, 1))
@@ -512,3 +518,50 @@ def test_dr_serialization_roundtrip():
         dr.predict(test.features, test.segment_id),
         back.predict(test.features, test.segment_id),
     )
+
+
+def _batch_invariance_models():
+    train, test = small_sim(seed=31, n=600, segs=3)
+    reg = fit_mr(train, (test.features, test.segment_id), quick_config(seed=4))
+    rng = np.random.default_rng(9)
+    n = 900
+    x = rng.normal(size=(n, 2))
+    seg = np.arange(n) % 2
+    y = np.argmax(np.column_stack([x[:, 0], x[:, 1], -x.sum(axis=1)]), axis=1)
+    ds = Dataset(
+        features=x,
+        labels=y,
+        segment_id=seg,
+        segment_names=("a", "b"),
+        feature_names=("x0", "x1"),
+        task=TaskKind.multiclass(3),
+    )
+    multi = fit_mr(ds, (x, seg), quick_config(shift="label", clusters=((0,), (1,)), seed=8))
+    return [(reg, test.features, test.segment_id), (multi, x[:200], seg[:200])]
+
+
+def test_mr_predict_is_batch_invariant():
+    for model, x, seg in _batch_invariance_models():
+        # the last rows go to the fallback: their segment is unknown
+        seg = seg.copy()
+        seg[-5:] = 99
+        batch = model.predict(x, seg)
+        single = np.stack([model.predict(x[i : i + 1], seg[i : i + 1])[0] for i in range(len(x))])
+        np.testing.assert_array_equal(single, batch)
+        perm = np.random.default_rng(1).permutation(len(x))
+        np.testing.assert_array_equal(model.predict(x[perm], seg[perm]), batch[perm])
+
+
+def test_mr_predict_walks_the_ensemble_once(monkeypatch):
+    train, test = small_sim(seed=32, n=600, segs=3)
+    model = fit_mr(train, (test.features, test.segment_id), quick_config(seed=5))
+    calls = []
+    original = BaseEnsemble.margins
+
+    def counting(self, x):
+        calls.append(len(x))
+        return original(self, x)
+
+    monkeypatch.setattr(BaseEnsemble, "margins", counting)
+    model.predict(test.features, test.segment_id)
+    assert calls == [test.n]
