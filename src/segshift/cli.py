@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .data import (
     DataError,
@@ -337,15 +339,24 @@ def cmd_predict(args) -> int:
             writer.writerow(header + ["__segment__"])
             for i in range(data.n):
                 row = preds[i] if preds.ndim == 2 else [preds[i]]
-                writer.writerow([repr(float(v)) for v in row] + [
-                    model.segment_names[data.segment_id[i]]
-                    if data.segment_id[i] < len(model.segment_names)
-                    else str(int(data.segment_id[i]))
-                ])
+                writer.writerow(
+                    [repr(float(v)) for v in row] + [data.segment_names[data.segment_id[i]]]
+                )
     except OSError as exc:
         raise _usage(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {data.n} predictions to {args.out}")
     return 0
+
+
+def _encode_segments(segment_id, names, vocabulary) -> np.ndarray:
+    """Re-encode ids over ``names`` into ``vocabulary`` by name.
+
+    A name the vocabulary lacks gets an id past its end, so a model serves
+    those rows as a segment unseen at fit time.
+    """
+    lookup = {name: i for i, name in enumerate(vocabulary)}
+    codes = np.array([lookup.get(name, len(vocabulary)) for name in names], dtype=np.int64)
+    return codes[segment_id]
 
 
 def cmd_evaluate(args) -> int:
@@ -373,9 +384,12 @@ def cmd_evaluate(args) -> int:
             )
         baseline_name = os.path.basename(args.baseline_model)
     try:
-        baseline_preds = (
-            None if baseline is None else baseline.predict(test.features, test.segment_id)
-        )
+        baseline_preds = None
+        if baseline is not None:
+            baseline_segments = _encode_segments(
+                test.segment_id, test.segment_names, baseline.segment_names
+            )
+            baseline_preds = baseline.predict(test.features, baseline_segments)
         preds = model.predict(test.features, test.segment_id)
         report = per_segment_report(
             test.labels,

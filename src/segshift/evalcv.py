@@ -222,14 +222,12 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
     fold_weights = []
     for train_idx, valid_idx in folds:
         w = np.ones(len(valid_idx))
+        margin_fn = _bbse_margin_fn(train, train_idx, config)
         for s in np.unique(train.segment_id[valid_idx]):
             pos = np.flatnonzero(train.segment_id[valid_idx] == s)
             rows = valid_idx[pos]
             test_rows = np.flatnonzero(test_segments == s)
-            wv = _segment_weights(
-                train, rows, rows, test_x, test_rows, config,
-                _bbse_margin_fn(train, train_idx, config),
-            )
+            wv = _segment_weights(train, rows, rows, test_x, test_rows, config, margin_fn)
             w[pos] = wv.values
         fold_weights.append(w)
 

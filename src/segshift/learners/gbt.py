@@ -130,13 +130,19 @@ class Tree:
         }
 
 
-_NODE_FIELDS = (
-    ("feature", np.int32),
-    ("threshold", np.float64),
-    ("left", np.int32),
-    ("right", np.int32),
-    ("value", np.float64),
-)
+def _index_field(nodes: list, key: str) -> np.ndarray:
+    """One int32 index field of every node, rejecting non-integers.
+
+    The field is read with the dtype JSON gave it, so that ``1.5`` is
+    rejected rather than truncated to ``1``, and must fit int32.
+    """
+    raw = np.array([n[key] for n in nodes])
+    if raw.dtype.kind not in "iu":
+        raise ValueError(f"tree node {key!r} values are not all integers")
+    out = raw.astype(np.int32)
+    if np.any(out != raw):
+        raise ValueError(f"tree node {key!r} value outside the int32 range")
+    return out
 
 
 def _read_trees(docs: list, n_features: int) -> list:
@@ -153,9 +159,9 @@ def _read_trees(docs: list, n_features: int) -> list:
     if np.any(sizes == 0):
         raise ValueError("tree has no nodes")
     nodes = [n for t in docs for n in t["nodes"]]
-    feature, threshold, left, right, value = (
-        np.array([n[key] for n in nodes], dtype=dtype)
-        for key, dtype in _NODE_FIELDS
+    feature, left, right = (_index_field(nodes, key) for key in ("feature", "left", "right"))
+    threshold, value = (
+        np.array([n[key] for n in nodes], dtype=np.float64) for key in ("threshold", "value")
     )
     starts = np.cumsum(sizes) - sizes
     internal = feature != -1

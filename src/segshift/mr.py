@@ -6,10 +6,12 @@ on all segments, then per segment (a) estimate importance weights against
 that segment's test rows, (b) fit a linear combination of the base-model
 margins on the tune fold (optionally constrained to the unit ball via a
 ridge-path bisection), and (c) refine with a small weighted boosted model
-that treats the stage-1 margin as its base margin.
+that treats the stage-1 margin as its base margin. A segment unseen at fit
+time gets the all-segments base model's prediction.
 
-Also provides the pooled baselines: a global model refined with pooled
-per-segment weights (dr), optionally with one-hot segment features (dr-sf).
+Also provides the standalone pooled baselines: a global model refined with
+pooled per-segment weights (dr), optionally with one-hot segment features
+(dr-sf).
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._seeds import derive_seed, index_digest
-from .data import Dataset, DataError, SplitPlan, TaskKind, split_base_tune
+from .data import Dataset, DataError, TaskKind, split_base_tune
 from .learners import (
     GBTConfig,
     GBTModel,
@@ -588,35 +590,29 @@ class MRModel:
     task: TaskKind
     ensemble: BaseEnsemble
     segments: dict  # segment id -> SegmentModel
-    fallback: DRModel
     segment_names: tuple
     feature_names: tuple
     config: MRConfig
-    split: SplitPlan | None = None
 
     def predict_margin(self, x: np.ndarray, segments: np.ndarray) -> np.ndarray:
+        """Margins of each row's segment model.
+
+        A segment without a fitted model, one unseen at fit time, takes the
+        all-segments base model's margin from the same ensemble pass.
+        """
         x = np.asarray(x, dtype=np.float64)
         segments = np.asarray(segments, dtype=np.int64)
-        loss = task_loss(self.task)
-        w = loss.margin_width
-        out = np.zeros((x.shape[0], w))
-        known = np.isin(segments, list(self.segments.keys()))
-        if (~known).any():
-            rows = np.flatnonzero(~known)
-            fb = self.fallback.predict_margin(x[rows], segments[rows])
-            out[rows] = fb.reshape(len(rows), w)
-        # one ensemble pass serves every known row; then each segment's head
-        known_rows = np.flatnonzero(known)
-        h = self.ensemble.margins(x[known_rows])
-        known_segments = segments[known_rows]
-        for s in np.unique(known_segments):
-            at = known_segments == s
-            rows = known_rows[at]
-            seg_model = self.segments[int(s)]
-            delta = seg_model.stage1.margin(h[at])
-            corr = seg_model.refiner.predict_margin(x[rows])
-            out[rows] = (delta + corr).reshape(len(rows), w)
-        return out[:, 0] if w == 1 else out
+        # one ensemble pass serves every row; then each segment's head
+        h = self.ensemble.margins(x)
+        out = h[:, -1].copy()
+        for s in np.unique(segments):
+            seg_model = self.segments.get(int(s))
+            if seg_model is None:
+                continue
+            rows = np.flatnonzero(segments == s)
+            delta = seg_model.stage1.margin(h[rows])
+            out[rows] = delta + seg_model.refiner.predict_margin(x[rows])
+        return out
 
     def predict(self, x: np.ndarray, segments: np.ndarray) -> np.ndarray:
         margin = self.predict_margin(x, segments)
@@ -641,7 +637,6 @@ class MRModel:
                 }
                 for s, m in sorted(self.segments.items())
             },
-            "fallback": self.fallback.to_dict(),
         }
 
     @classmethod
@@ -660,7 +655,6 @@ class MRModel:
             task=task,
             ensemble=BaseEnsemble.from_dict(d["ensemble"], loss),
             segments=segments,
-            fallback=DRModel.from_dict(d["fallback"]),
             segment_names=tuple(d["segment_names"]),
             feature_names=tuple(d["feature_names"]),
             config=MRConfig.from_dict(d["config"]),
@@ -707,20 +701,13 @@ def fit_mr(train: Dataset, test_features, config: MRConfig) -> MRModel:
         raise ValueError("train and test segment vocabularies do not overlap")
 
     plan = split_base_tune(train, config.varsigma, config.seed)
-    tune_mask_pre = np.zeros(train.n, dtype=bool)
-    tune_mask_pre[plan.tune_indices] = True
-    min_tune = min(
-        int(tune_mask_pre[train.segment_rows(int(s))].sum())
-        for s in train.present_segments()
-    )
+    tune_mask = np.zeros(train.n, dtype=bool)
+    tune_mask[plan.tune_indices] = True
+    min_tune = min(int(tune_mask[train.segment_rows(s)].sum()) for s in train_segs)
     assignment = _resolve_clusters(train, config, max_auto=min_tune - 2)
     base_fold = train.subset(plan.base_indices)
     ensemble = fit_base_ensemble(base_fold, assignment, config.base.with_seed(config.seed))
-    fallback = fit_dr(train, test_features, config, with_segment_features=False)
-
     all_model = ensemble.models[-1]
-    tune_mask = np.zeros(train.n, dtype=bool)
-    tune_mask[plan.tune_indices] = True
 
     def fit_one_segment(s: int) -> SegmentModel:
         seg_rows = train.segment_rows(s)
@@ -763,9 +750,7 @@ def fit_mr(train: Dataset, test_features, config: MRConfig) -> MRModel:
         task=train.task,
         ensemble=ensemble,
         segments=seg_models,
-        fallback=fallback,
         segment_names=train.segment_names,
         feature_names=train.feature_names,
         config=config,
-        split=plan,
     )

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from segshift import MRModel
 from segshift.cli import main
 
 
@@ -269,11 +271,15 @@ def _corrupt_first_tree(tmp_path, **root):
 
 
 @pytest.mark.parametrize(
-    "root",
-    [dict(left=0, right=0), dict(left=10**6)],
-    ids=["cyclic", "child-out-of-range"],
+    "root, message",
+    [
+        (dict(left=0, right=0), "child index"),
+        (dict(left=10**6), "child index"),
+        (dict(left=1.5), "not all integers"),
+    ],
+    ids=["cyclic", "child-out-of-range", "non-integer-child"],
 )
-def test_predict_malformed_tree_exit_2(tmp_path, capsys, root):
+def test_predict_malformed_tree_exit_2(tmp_path, capsys, root, message):
     run(simulate_args(tmp_path))
     run(fit_args(tmp_path))
     bad = _corrupt_first_tree(tmp_path, **root)
@@ -285,7 +291,7 @@ def test_predict_malformed_tree_exit_2(tmp_path, capsys, root):
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and "child index" in err
+    assert str(bad) in err and message in err
 
 
 def test_evaluate_baseline_feature_mismatch_exit_2(tmp_path, capsys):
@@ -308,3 +314,79 @@ def test_evaluate_baseline_feature_mismatch_exit_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "extra" in capsys.readouterr().err
+
+
+def _read_rows(path):
+    """(features, labels, segment names) of a CSV written by ``simulate``."""
+    lines = path.read_text().splitlines()[1:]
+    cells = [line.split(",") for line in lines]
+    x = np.array([[float(v) for v in c[:-2]] for c in cells])
+    y = np.array([float(c[-2]) for c in cells])
+    return x, y, [c[-1] for c in cells]
+
+
+def _mr_model(path):
+    return MRModel.from_dict(json.loads(path.read_text()))
+
+
+def test_predict_unseen_segment_uses_all_segments_model(tmp_path):
+    run(simulate_args(tmp_path))
+    run(fit_args(tmp_path))
+    lines = (tmp_path / "test.csv").read_text().splitlines()
+    # every third row names a segment that training never saw
+    renamed = [line.rsplit(",", 1)[0] + ",zz" if i % 3 == 0 else line
+               for i, line in enumerate(lines[1:])]
+    (tmp_path / "unseen.csv").write_text("\n".join([lines[0], *renamed]) + "\n")
+    for data, out in (("test.csv", "known.csv"), ("unseen.csv", "mixed.csv")):
+        code = run([
+            "predict",
+            "--model", str(tmp_path / "model.json"),
+            "--data", str(tmp_path / data),
+            "--out", str(tmp_path / out),
+        ])
+        assert code == 0
+    known, mixed = (
+        np.array([float(line.split(",")[0]) for line in (tmp_path / out).read_text().splitlines()[1:]])
+        for out in ("known.csv", "mixed.csv")
+    )
+    x, _, names = _read_rows(tmp_path / "unseen.csv")
+    written = [line.split(",")[1] for line in (tmp_path / "mixed.csv").read_text().splitlines()[1:]]
+    assert written == names
+    unseen = np.array([name == "zz" for name in names])
+    all_segments = _mr_model(tmp_path / "model.json").ensemble.models[-1].predict_margin(x)
+    np.testing.assert_array_equal(mixed[unseen], all_segments[unseen])
+    np.testing.assert_array_equal(mixed[~unseen], known[~unseen])
+
+
+def test_evaluate_baseline_segments_matched_by_name(tmp_path):
+    run(simulate_args(tmp_path))
+    run(fit_args(tmp_path))
+    # the baseline is fitted without segment "1", so its ids for "2" and "3" differ
+    other = tmp_path / "other"
+    other.mkdir()
+    lines = (tmp_path / "train.csv").read_text().splitlines()
+    kept = [line for line in lines[1:] if line.rsplit(",", 1)[1] != "1"]
+    (other / "train.csv").write_text("\n".join([lines[0], *kept]) + "\n")
+    (other / "test.csv").write_text((tmp_path / "test.csv").read_text())
+    assert run(fit_args(other)) == 0
+    code = run([
+        "evaluate",
+        "--model", str(tmp_path / "model.json"),
+        "--test", str(tmp_path / "test.csv"),
+        "--baseline-model", str(other / "model.json"),
+        "--out-report", str(tmp_path / "report.json"),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+
+    model, baseline = _mr_model(tmp_path / "model.json"), _mr_model(other / "model.json")
+    assert baseline.segment_names == ("2", "3")
+    x, y, names = _read_rows(tmp_path / "test.csv")
+    preds = model.predict(x, np.array([model.segment_names.index(n) for n in names]))
+    # "1" is unseen by the baseline: any id past its vocabulary
+    base_ids = [baseline.segment_names.index(n) if n in baseline.segment_names else 99 for n in names]
+    base_preds = baseline.predict(x, np.array(base_ids))
+    for name in ("1", "2", "3"):
+        rows = np.array([n == name for n in names])
+        expected = np.mean((preds[rows] - y[rows]) ** 2) / np.mean((base_preds[rows] - y[rows]) ** 2)
+        assert report["segments"][name]["relative"] == pytest.approx(expected, rel=1e-12)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+import segshift.evalcv as evalcv
+import segshift.learners as learners
 from segshift import (
     CvGrid,
+    Dataset,
     MRConfig,
     SyntheticConfig,
+    TaskKind,
     cross_validate,
+    kfold_plan,
     metric,
     per_segment_report,
     simulate_local_covshift,
 )
 from segshift.learners import cluster_base_config, refine_config
+from segshift.mr import _segment_weights
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +213,76 @@ def test_cv_failing_point_excluded():
     with pytest.raises(ValueError, match="every grid point failed"):
         with pytest.warns(UserWarning):
             cross_validate(train, (test.features, test.segment_id), grid, 2, cfg)
+
+
+def binary_sim(seed=0, n=450, segs=3):
+    """Binary task whose test rows are shifted toward the positive class."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n, offset):
+        x = rng.normal(size=(n, 2))
+        x[:, 0] += offset
+        seg = np.arange(n) % segs
+        y = (x[:, 0] + 0.3 * seg + rng.normal(0, 0.5, n) > 0).astype(np.float64)
+        return Dataset(
+            features=x,
+            labels=y,
+            segment_id=seg,
+            segment_names=tuple(f"s{s}" for s in range(segs)),
+            feature_names=("x0", "x1"),
+            task=TaskKind.binary(),
+        )
+
+    return draw(n, 0.0), draw(n // 2, 0.5)
+
+
+def test_cv_bbse_classifier_fit_once_per_fold(monkeypatch):
+    train, test = binary_sim()
+    cfg = tiny_config(shift="label")
+    k = 3
+    # reference: the classifier refit for every (fold, segment) pair
+    expected = []
+    for train_idx, valid_idx in kfold_plan(train, k, cfg.seed):
+        w = np.ones(len(valid_idx))
+        for s in np.unique(train.segment_id[valid_idx]):
+            pos = np.flatnonzero(train.segment_id[valid_idx] == s)
+            rows = valid_idx[pos]
+            margin_fn = evalcv._bbse_margin_fn(train, train_idx, cfg)
+            test_rows = np.flatnonzero(test.segment_id == s)
+            w[pos] = _segment_weights(train, rows, rows, test.features, test_rows, cfg, margin_fn).values
+        expected.append(w)
+
+    fits, used = [], []
+    fit_gbt, report = learners.fit_gbt, evalcv.per_segment_report
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return fit_gbt(*args, **kwargs)
+
+    def recording_report(*args, sample_weight=None, **kwargs):
+        used.append(sample_weight)
+        return report(*args, sample_weight=sample_weight, **kwargs)
+
+    monkeypatch.setattr(learners, "fit_gbt", counting_fit)
+    monkeypatch.setattr(evalcv, "per_segment_report", recording_report)
+    grid = CvGrid(base={"n_estimators": [10]}, refine={"n_estimators": [0, 3]})
+    cross_validate(train, (test.features, test.segment_id), grid, k, cfg)
+    assert len(fits) == k
+    # every grid point of a fold is scored with that fold's reference weights
+    assert len(used) == 2 * k
+    for i, w in enumerate(used):
+        np.testing.assert_array_equal(w, expected[i // 2])
+
+
+def test_cv_thread_count_invariance():
+    train, test = sim(seed=6, n=300, segs=3)
+    grid = CvGrid(base={"n_estimators": [5, 10]}, refine={"n_estimators": [0, 3]})
+    runs = [
+        cross_validate(
+            train, (test.features, test.segment_id), grid, 2, tiny_config(seed=6, n_threads=t)
+        )
+        for t in (1, 3)
+    ]
+    (best1, reports1), (best3, reports3) = runs
+    assert best1 == best3
+    assert [r.to_dict() for r in reports1] == [r.to_dict() for r in reports3]

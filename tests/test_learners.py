@@ -513,6 +513,9 @@ def stump_dict(**node0):
         (dict(feature=3), "feature"),
         (dict(feature=-2), "feature"),
         (None, "no nodes"),
+        (dict(left=1.5), "not all integers"),  # would truncate to a valid child
+        (dict(feature=0.0), "not all integers"),
+        (dict(right=2**32 + 2), "int32 range"),  # would wrap to a valid child
     ],
 )
 def test_gbt_from_dict_rejects_bad_tree_links(node0, match):

@@ -21,7 +21,7 @@ from segshift import (
     uniform_weights,
 )
 from segshift.data import DataError
-from segshift.learners import LossKind
+from segshift.learners import LossKind, losses
 from segshift.learners.linear import LinearModel
 from segshift.mr import BaseEnsemble, SegmentModel, Stage1Model
 
@@ -293,7 +293,6 @@ def test_mr_collapse_to_single_base_model():
         task=model.task,
         ensemble=model.ensemble,
         segments=pinned,
-        fallback=model.fallback,
         segment_names=model.segment_names,
         feature_names=model.feature_names,
         config=model.config,
@@ -321,13 +320,32 @@ def test_mr_serialization_roundtrip():
     )
 
 
-def test_mr_unknown_segment_routes_to_fallback():
+def test_mr_unknown_segment_uses_all_segments_model():
     train, test = small_sim(seed=7)
+    reg = fit_mr(train, (test.features, test.segment_id), quick_config())
+    for model, x, _ in ((reg, test.features, test.segment_id), _multiclass_model()):
+        alien = np.full(len(x), 99, dtype=np.int64)
+        all_segments = model.ensemble.models[-1].predict_margin(x)
+        if model.task.kind != "regression":
+            all_segments = losses.margin_to_proba(all_segments, model.ensemble.loss)
+        np.testing.assert_array_equal(model.predict(x, alien), all_segments)
+
+
+def test_mr_fits_no_pooled_model(monkeypatch):
+    import segshift.mr as mr_module
+
+    calls = []
+    original = mr_module.fit_dr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mr_module, "fit_dr", counting)
+    train, test = small_sim(seed=7, n=400, segs=2)
     model = fit_mr(train, (test.features, test.segment_id), quick_config())
-    alien = np.full(test.n, 99, dtype=np.int64)
-    preds = model.predict(test.features, alien)
-    fb = model.fallback.predict(test.features, alien)
-    np.testing.assert_array_equal(preds, fb)
+    assert calls == []
+    assert "fallback" not in model.to_dict()
 
 
 def test_mr_missing_test_segment_warns_uniform():
@@ -520,9 +538,7 @@ def test_dr_serialization_roundtrip():
     )
 
 
-def _batch_invariance_models():
-    train, test = small_sim(seed=31, n=600, segs=3)
-    reg = fit_mr(train, (test.features, test.segment_id), quick_config(seed=4))
+def _multiclass_model():
     rng = np.random.default_rng(9)
     n = 900
     x = rng.normal(size=(n, 2))
@@ -537,12 +553,18 @@ def _batch_invariance_models():
         task=TaskKind.multiclass(3),
     )
     multi = fit_mr(ds, (x, seg), quick_config(shift="label", clusters=((0,), (1,)), seed=8))
-    return [(reg, test.features, test.segment_id), (multi, x[:200], seg[:200])]
+    return multi, x[:200], seg[:200]
+
+
+def _batch_invariance_models():
+    train, test = small_sim(seed=31, n=600, segs=3)
+    reg = fit_mr(train, (test.features, test.segment_id), quick_config(seed=4))
+    return [(reg, test.features, test.segment_id), _multiclass_model()]
 
 
 def test_mr_predict_is_batch_invariant():
     for model, x, seg in _batch_invariance_models():
-        # the last rows go to the fallback: their segment is unknown
+        # the last rows take the all-segments model: their segment is unknown
         seg = seg.copy()
         seg[-5:] = 99
         batch = model.predict(x, seg)
