@@ -144,6 +144,18 @@ def _gbt_config(args, prefix: str, factory) -> GBTConfig:
         raise _usage(str(exc)) from exc
 
 
+def _bandwidth(args) -> float | str:
+    if args.bandwidth == "median":
+        return "median"
+    try:
+        value = float(args.bandwidth)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0):
+        raise _usage(f"--bandwidth must be 'median' or a positive number, got {args.bandwidth!r}")
+    return value
+
+
 def _mr_config(args) -> MRConfig:
     if args.clusters == "auto":
         clusters = "auto"
@@ -152,7 +164,7 @@ def _mr_config(args) -> MRConfig:
             clusters = int(args.clusters)
         except ValueError:
             raise _usage(f"--clusters must be 'auto' or an integer, got {args.clusters!r}")
-    bandwidth = "median" if args.bandwidth == "median" else float(args.bandwidth)
+    bandwidth = _bandwidth(args)
     try:
         return MRConfig(
             shift=args.shift,
@@ -202,9 +214,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    bandwidth = _bandwidth(args)
     task = _task_from_args(args)
     train = _load_train(args, task)
-    kernel = None if args.bandwidth == "median" else KernelSpec(float(args.bandwidth))
+    kernel = None if bandwidth == "median" else KernelSpec(bandwidth)
     try:
         d = segment_distance_matrix(
             train,
@@ -311,13 +324,9 @@ def _load_model(path):
         raise _usage(f"{path}: malformed {kind} model: {exc!r}") from exc
 
 
-def _model_task(model) -> TaskKind:
-    return model.task
-
-
 def cmd_predict(args) -> int:
     model = _load_model(args.model)
-    task = _model_task(model)
+    task = model.task
     label_col = args.label_col if args.label_col is not None else "y"
     data = _load_aligned(
         args.data, label_col, args, task, model.feature_names,
@@ -361,7 +370,7 @@ def _encode_segments(segment_id, names, vocabulary) -> np.ndarray:
 
 def cmd_evaluate(args) -> int:
     model = _load_model(args.model)
-    task = _model_task(model)
+    task = model.task
     if args.label_col is None:
         raise _usage("evaluate requires --label-col")
     test = _load_aligned(

@@ -1,11 +1,19 @@
-"""Linear models fit by exact solve (squared loss) or Newton iterations.
+"""Linear models fit by exact solve (squared loss) or damped Newton.
 
 The objective is the *sum* of weighted per-sample losses plus an L2 term
-``(l2 / 2) * ||coef||^2``; the intercept is never penalized. Newton runs
-until the gradient norm drops below 1e-8 or 100 iterations, with step
-halving as a safeguard.
+``(l2 / 2) * ||coef||^2``; the intercept is never penalized. Squared loss
+solves its normal equations by Cholesky. Logistic and softmax fits, and
+the shared-softmax stacking of ``mr``, all run the one ``newton`` loop:
+each iteration adds ``JITTER`` to the Hessian diagonal, solves for the
+step by LU (``np.linalg.solve``; the softmax intercepts leave the Hessian
+singular, which Cholesky rejects) and halves the step up to
+``MAX_HALVINGS`` times until the objective does not rise. It stops when
+the gradient norm is at most ``GRAD_TOL`` (converged), after
+``MAX_NEWTON_ITER`` iterations, or when no halving helps; the last two
+warn that the solve did not converge.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +23,9 @@ from . import losses
 from .losses import LossKind
 
 MAX_NEWTON_ITER = 100
+MAX_HALVINGS = 30
 GRAD_TOL = 1e-8
+JITTER = 1e-10
 
 
 @dataclass
@@ -82,33 +92,23 @@ def _fit_squared(x, y, l2, w, fit_intercept):
     return coef, np.asarray(intercept)
 
 
-def _fit_logistic(x, y, l2, w, fit_intercept):
-    n, d = x.shape
-    xa = np.hstack([x, np.ones((n, 1))]) if fit_intercept else x
-    p_tot = xa.shape[1]
-    theta = np.zeros(p_tot)
+def newton(objective, grad_hess, theta0: np.ndarray):
+    """Minimize a smooth convex ``objective`` by the damped Newton rule above.
 
-    def objective(t):
-        z = xa @ t
-        return float(np.sum(w * losses.loss_values(losses.LOGISTIC, y, z))) + 0.5 * l2 * float(
-            t[:d] @ t[:d]
-        )
-
+    ``grad_hess(theta)`` returns the gradient and a fresh Hessian, which
+    this function may modify. Returns ``(theta, converged)``.
+    """
+    theta = theta0
     obj = objective(theta)
     for _ in range(MAX_NEWTON_ITER):
-        z = xa @ theta
-        g, h = losses.grad_hess(losses.LOGISTIC, y, z)
-        grad = xa.T @ (w * g)
-        grad[:d] += l2 * theta[:d]
-        if np.linalg.norm(grad) <= GRAD_TOL:
-            break
-        hess = xa.T @ (xa * (w * h)[:, None])
-        hess[np.arange(d), np.arange(d)] += l2
-        # tiny jitter keeps the factorization alive when h underflows
-        hess[np.arange(p_tot), np.arange(p_tot)] += 1e-12
-        step = _solve_spd(hess, grad, l2)
+        grad, hess = grad_hess(theta)
+        grad_norm = np.linalg.norm(grad)
+        if grad_norm <= GRAD_TOL:
+            return theta, True
+        hess[np.diag_indices_from(hess)] += JITTER
+        step = np.linalg.solve(hess, grad)
         scale = 1.0
-        for _ in range(30):
+        for _ in range(MAX_HALVINGS):
             cand = theta - scale * step
             cand_obj = objective(cand)
             if cand_obj <= obj + 1e-12:
@@ -116,60 +116,54 @@ def _fit_logistic(x, y, l2, w, fit_intercept):
                 break
             scale *= 0.5
         else:
+            reason = "the line search found no decrease"
             break
-    coef = theta[:d]
-    intercept = theta[d] if fit_intercept else np.float64(0.0)
-    return coef, np.asarray(intercept)
+    else:
+        reason = f"{MAX_NEWTON_ITER} iterations"
+    warnings.warn(
+        f"Newton solve did not converge ({reason}; gradient norm {grad_norm:.3g} > {GRAD_TOL:g})"
+    )
+    return theta, False
 
 
-def _fit_softmax(x, y, loss, l2, w, fit_intercept):
+def _fit_glm(x, y, loss, l2, w, fit_intercept):
+    """Logistic (width 1) or softmax (width K) fit over parameters (d [+1], K)."""
     n, d = x.shape
-    k = loss.n_classes
+    k = loss.margin_width
     xa = np.hstack([x, np.ones((n, 1))]) if fit_intercept else x
     da = xa.shape[1]
-    theta = np.zeros((da, k))
-    yi = y.astype(np.intp)
+    nc = d * k  # the penalized coef rows come first in the flattened (da, k) layout
+
+    def margin(t):
+        return xa @ (t.reshape(da, k) if k > 1 else t)
 
     def objective(t):
-        z = xa @ t
-        pen = 0.5 * l2 * float(np.sum(t[:d] * t[:d]))
-        return float(np.sum(w * losses.loss_values(loss, y, z))) + pen
+        return float(np.sum(w * losses.loss_values(loss, y, margin(t)))) + 0.5 * l2 * float(
+            t[:nc] @ t[:nc]
+        )
 
-    obj = objective(theta)
-    for _ in range(MAX_NEWTON_ITER):
-        z = xa @ theta
-        p = losses.softmax_rows(z)
-        g = p.copy()
-        g[np.arange(n), yi] -= 1.0
-        grad = xa.T @ (g * w[:, None])  # (da, k)
-        grad[:d] += l2 * theta[:d]
-        if np.linalg.norm(grad) <= GRAD_TOL:
-            break
-        # full hessian over flattened (da*k) parameters:
-        # H[(a,i),(b,j)] = sum_n w x_a x_b (p_i delta_ij - p_i p_j)
-        pw = p * w[:, None]
-        hess4 = np.einsum("na,ni,nb,nj->aibj", xa, p, xa, -pw, optimize=True)
-        block = np.einsum("na,nb,ni->abi", xa, xa, pw, optimize=True)
-        for i in range(k):
-            hess4[:, i, :, i] += block[:, :, i]
-        hess = hess4.reshape(da * k, da * k)
-        idx = np.arange(d * k)
-        hess[idx, idx] += l2  # coef block comes first when reshaped row-major
-        hess[np.arange(da * k), np.arange(da * k)] += 1e-10
-        step = np.linalg.solve(hess, grad.reshape(-1)).reshape(da, k)
-        scale = 1.0
-        for _ in range(30):
-            cand = theta - scale * step
-            cand_obj = objective(cand)
-            if cand_obj <= obj + 1e-12:
-                theta, obj = cand, cand_obj
-                break
-            scale *= 0.5
+    def grad_hess(t):
+        z = margin(t)
+        g, h = losses.grad_hess(loss, y, z)
+        if k == 1:
+            grad = xa.T @ (w * g)
+            hess = xa.T @ (xa * (w * h)[:, None])
         else:
-            break
-    coef = theta[:d]
-    intercept = theta[d] if fit_intercept else np.zeros(k)
-    return coef, np.asarray(intercept)
+            # H[(a,i),(b,j)] = sum_n w x_a x_b (p_i delta_ij - p_i p_j)
+            p = losses.softmax_rows(z)
+            grad = (xa.T @ (g * w[:, None])).reshape(-1)
+            u = (xa[:, :, None] * p[:, None, :]).reshape(n, da * k)
+            hess = -(u.T @ (u * w[:, None]))
+            for i in range(k):
+                hess[i::k, i::k] += xa.T @ (xa * (w * p[:, i])[:, None])
+        grad[:nc] += l2 * t[:nc]
+        hess[np.arange(nc), np.arange(nc)] += l2
+        return grad, hess
+
+    theta, _ = newton(objective, grad_hess, np.zeros(da * k))
+    theta = theta.reshape(da, k) if k > 1 else theta
+    intercept = theta[d] if fit_intercept else np.zeros(theta.shape[1:])
+    return theta[:d], np.asarray(intercept)
 
 
 def fit_linear(
@@ -201,10 +195,8 @@ def fit_linear(
 
     if loss.name == "squared":
         coef, intercept = _fit_squared(x, y, l2, w, fit_intercept)
-    elif loss.name == "logistic":
-        coef, intercept = _fit_logistic(x, y, l2, w, fit_intercept)
     else:
-        coef, intercept = _fit_softmax(x, y, loss, l2, w, fit_intercept)
+        coef, intercept = _fit_glm(x, y, loss, l2, w, fit_intercept)
     if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(intercept))):
         raise ValueError("linear fit produced non-finite parameters")
     return LinearModel(coef=coef, intercept=intercept, loss=loss, l2=l2)

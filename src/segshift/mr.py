@@ -31,10 +31,12 @@ from .learners import (
     LossKind,
     cluster_base_config,
     fit_gbt,
+    fit_linear,
     losses,
     refine_config,
 )
 from .learners.gbt import cached_forest
+from .learners.linear import newton
 from .segmentation import (
     ClusterAssignment,
     KernelSpec,
@@ -277,65 +279,38 @@ class Stage1Model:
 def _solve_shared_softmax(h, y, loss, l2, fit_intercept):
     """Newton fit of margins z_ik = sum_m beta_m h_imk + c_k with L2 on beta."""
     n, n_models, k = h.shape
-    yi = y.astype(np.intp)
-    n_par = n_models + (k if fit_intercept else 0)
-    theta = np.zeros(n_par)
-
-    def unpack(t):
-        beta = t[:n_models]
-        c = t[n_models:] if fit_intercept else np.zeros(k)
-        return beta, c
+    onehot = np.eye(k)[y.astype(np.intp)]
+    # per-row feature map phi[i, :, k] = (h[i, :, k], e_k)
+    phi = np.concatenate([h, np.broadcast_to(np.eye(k), (n, k, k))], axis=1) if fit_intercept else h
+    m = np.arange(n_models)
 
     def margins(t):
-        beta, c = unpack(t)
-        return np.einsum("nmk,m->nk", h, beta) + c
+        z = np.einsum("nmk,m->nk", h, t[:n_models])
+        return z + t[n_models:] if fit_intercept else z
 
     def objective(t):
-        beta, _ = unpack(t)
-        z = margins(t)
-        return float(np.sum(losses.loss_values(loss, y, z))) + 0.5 * l2 * float(beta @ beta)
+        beta = t[:n_models]
+        return float(np.sum(losses.loss_values(loss, y, margins(t)))) + 0.5 * l2 * float(beta @ beta)
 
-    obj = objective(theta)
-    for _ in range(100):
-        z = margins(theta)
-        p = losses.softmax_rows(z)
-        r = p.copy()
-        r[np.arange(n), yi] -= 1.0
-        grad_beta = np.einsum("nk,nmk->m", r, h)
-        grad = np.concatenate([grad_beta + l2 * theta[:n_models], r.sum(axis=0)]) if fit_intercept else (
-            grad_beta + l2 * theta[:n_models]
-        )
-        if np.linalg.norm(grad) <= 1e-8:
-            break
-        # per-row feature map phi[i, k] = (h[i, :, k], e_k)
-        phi = np.concatenate([h, np.tile(np.eye(k), (n, 1, 1)).transpose(0, 2, 1)], axis=1) if fit_intercept else h
-        # phi: (n, n_par, k); hessian = sum_i phi_i A_i phi_i^T, A = diag(p)-pp'
-        ap = np.einsum("npk,nk->npk", phi, p)
-        hess = np.einsum("npk,nqk->pq", ap, phi) - np.einsum(
-            "npk,nk,nql,nl->pq", phi, p, phi, p, optimize=True
-        )
-        hess[np.arange(n_models), np.arange(n_models)] += l2
-        hess[np.arange(n_par), np.arange(n_par)] += 1e-10
-        step = np.linalg.solve(hess, grad)
-        scale = 1.0
-        for _ in range(30):
-            cand = theta - scale * step
-            cand_obj = objective(cand)
-            if cand_obj <= obj + 1e-12:
-                theta, obj = cand, cand_obj
-                break
-            scale *= 0.5
-        else:
-            break
-    beta, c = unpack(theta)
-    return beta, np.asarray(c)
+    def grad_hess(t):
+        p = losses.softmax_rows(margins(t))
+        grad = np.einsum("nk,npk->p", p - onehot, phi)
+        grad[:n_models] += l2 * t[:n_models]
+        # hessian = sum_i phi_i (diag(p_i) - p_i p_i^T) phi_i^T
+        ap = phi * p[:, None, :]
+        u = ap.sum(axis=2)
+        hess = np.einsum("npk,nqk->pq", ap, phi) - u.T @ u
+        hess[m, m] += l2
+        return grad, hess
+
+    theta, _ = newton(objective, grad_hess, np.zeros(phi.shape[1]))
+    c = theta[n_models:] if fit_intercept else np.zeros(k)
+    return theta[:n_models], np.asarray(c)
 
 
 def _solve_stage1(h, y, loss, l2, fit_intercept):
     if loss.name == "softmax":
         return _solve_shared_softmax(h, y, loss, l2, fit_intercept)
-    from .learners import fit_linear
-
     lm = fit_linear(h, y, loss, l2=l2, fit_intercept=fit_intercept)
     return lm.coef, np.asarray(lm.intercept)
 
@@ -508,13 +483,13 @@ def _segment_weights(
         )
     # bbse: held-out predicted labels on the eval rows vs test predictions
     k = train.task.n_classes
-    src_pred = _predicted_classes(classifier_margin(train.features[eval_rows]), k)
-    test_pred = _predicted_classes(classifier_margin(test_x[test_rows]), k)
+    src_pred = _predicted_classes(classifier_margin(train.features[eval_rows]))
+    test_pred = _predicted_classes(classifier_margin(test_x[test_rows]))
     cw = fit_bbse(train.labels[eval_rows], src_pred, test_pred, k)
     return expand_class_weights(cw, train.labels[eval_rows], eta=config.eta)
 
 
-def _predicted_classes(margin: np.ndarray, n_classes: int) -> np.ndarray:
+def _predicted_classes(margin: np.ndarray) -> np.ndarray:
     if margin.ndim == 1:
         return (margin > 0).astype(np.int64)
     return np.argmax(margin, axis=1).astype(np.int64)

@@ -7,6 +7,7 @@ tuning). BBSE produces per-class weights which ``expand_class_weights``
 maps onto samples.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .segmentation import KernelSpec
 
 DEFAULT_ETA = 10.0
 _PROB_CLIP = 1e-3
+KMM_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ def _kmm_solve(g, kappa, n, eta, epsilon):
     lo, hi = n * (1.0 - epsilon), n * (1.0 + epsilon)
     w = _kmm_project(np.ones(n), eta, lo, hi)
     history = [_kmm_objective(w, g, kappa, n)]
-    for _ in range(500):
+    for _ in range(KMM_MAX_ITER):
         grad = 2.0 * (g @ w - kappa) / (n * n)
         cand = _kmm_project(w - step * grad, eta, lo, hi)
         cand_obj = _kmm_objective(cand, g, kappa, n)
@@ -151,7 +153,8 @@ def fit_kmm(
     and |sum(w) - n| <= n * epsilon (default epsilon = eta / sqrt(n)). The
     step size is 1/L with L estimated from 50 power iterations; steps that
     fail to decrease the objective by 1e-10 stop the solver, so the
-    objective trajectory is non-increasing.
+    objective trajectory is non-increasing. A solve that instead runs all
+    ``KMM_MAX_ITER`` steps warns.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     test_x = np.asarray(test_x, dtype=np.float64)
@@ -169,7 +172,9 @@ def fit_kmm(
     kappa = (n / test_x.shape[0]) * segmentation.gram(kernel, train_x, test_x).sum(axis=1)
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(kappa))):
         raise ValueError("non-finite Gram entries")
-    w, _ = _kmm_solve(g, kappa, n, eta, epsilon)
+    w, history = _kmm_solve(g, kappa, n, eta, epsilon)
+    if len(history) > KMM_MAX_ITER:
+        warnings.warn(f"KMM solve stopped at its {KMM_MAX_ITER}-iteration cap, not at its decrease rule")
     return _finalize(w, eta, "kmm")
 
 

@@ -217,6 +217,21 @@ def test_config_file_with_cli_override(tmp_path):
     assert len(lines) == 121  # CLI --n-train beats the file's 80
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+@pytest.mark.parametrize("command", ["fit", "cv", "cluster"])
+def test_bad_bandwidth_exit_2(tmp_path, capsys, command, value):
+    run(simulate_args(tmp_path))
+    data = ["--train", str(tmp_path / "train.csv"), "--task", "regression"]
+    if command == "fit":
+        argv = fit_args(tmp_path)
+    elif command == "cv":
+        argv = ["cv", *data, "--test", str(tmp_path / "test.csv"), "--out", str(tmp_path / "cv.json")]
+    else:
+        argv = ["cluster", *data, "--out", str(tmp_path / "clusters.json")]
+    assert run([*argv, "--bandwidth", value]) == 2
+    assert "--bandwidth" in capsys.readouterr().err
+
+
 def test_config_file_missing_exit_2(tmp_path):
     assert run(["simulate", "--config", str(tmp_path / "none.cfg")]) == 2
 

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from segshift import GBTConfig, LossKind, fit_gbt, fit_linear
 from segshift.learners import losses, predict_margin
 from segshift.learners.gbt import GBTModel, Tree
-from segshift.learners.linear import LinearModel
+from segshift.learners.linear import MAX_NEWTON_ITER, LinearModel, newton
 
 SQ = LossKind("squared")
 LOG = LossKind("logistic")
@@ -133,6 +134,78 @@ def test_logistic_newton_matches_weights():
     y_dup = np.concatenate([y, y[:5]])
     b = fit_linear(x_dup, y_dup, LOG, l2=0.5)
     np.testing.assert_allclose(a.coef, b.coef, atol=1e-7)
+
+
+def _reference_glm(x, y, k, l2, w, fit_intercept):
+    """L-BFGS-B on the penalized objective of fit_linear, written out plainly."""
+    n, d = x.shape
+    onehot = np.eye(k)[y.astype(int)] if k > 1 else y[:, None]
+
+    def split(t):
+        t = t.reshape(d + fit_intercept, k)
+        return t[:d], (t[d] if fit_intercept else np.zeros(k))
+
+    def fun(t):
+        coef, b = split(t)
+        z = x @ coef + b
+        if k == 1:
+            per_row = np.logaddexp(0.0, z[:, 0]) - y * z[:, 0]
+            p = 1.0 / (1.0 + np.exp(-z))
+        else:
+            lse = np.logaddexp.reduce(z, axis=1)
+            per_row = lse - (z * onehot).sum(axis=1)
+            p = np.exp(z - lse[:, None])
+        r = (p - onehot) * w[:, None]
+        grad = np.vstack([x.T @ r + l2 * coef] + ([r.sum(axis=0)] if fit_intercept else []))
+        return float(w @ per_row) + 0.5 * l2 * float(np.sum(coef * coef)), grad.ravel()
+
+    res = minimize(fun, np.zeros((d + fit_intercept) * k), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 20000, "maxcor": 30})
+    return split(res.x)
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+@pytest.mark.parametrize("loss", [LOG, SOFT], ids=["logistic", "softmax"])
+def test_fit_linear_matches_lbfgs_reference(loss, fit_intercept):
+    rng = np.random.default_rng(11)
+    n, d = 400, 3
+    x = rng.normal(size=(n, d))
+    k = loss.margin_width
+    logits = x @ rng.normal(size=(d, max(k, 2))) + 0.5
+    y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
+    w = rng.uniform(0.2, 3.0, size=n)
+    model = fit_linear(x, y, loss, l2=0.7, sample_weight=w, fit_intercept=fit_intercept)
+    coef, b = _reference_glm(x, y, k, 0.7, w, fit_intercept)
+    np.testing.assert_allclose(model.coef.reshape(d, k), coef, atol=1e-6)
+    ours, ref = np.atleast_1d(model.intercept), np.atleast_1d(b)
+    if k > 1:  # softmax margins are invariant to one shift of every class intercept
+        ours, ref = ours - ours.mean(), ref - ref.mean()
+    np.testing.assert_allclose(ours, ref, atol=1e-6)
+
+
+def test_newton_flags_an_unbounded_objective():
+    calls = []
+
+    def grad_hess(t):
+        calls.append(1)
+        return np.array([-1.0]), np.zeros((1, 1))
+
+    with pytest.warns(UserWarning, match="^Newton solve did not converge"):
+        theta, converged = newton(lambda t: -float(t[0]), grad_hess, np.zeros(1))
+    assert not converged
+    assert len(calls) == MAX_NEWTON_ITER
+    assert theta[0] > 0
+
+
+def test_newton_converges_on_a_quadratic_without_warning(recwarn):
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+    b = np.array([1.0, -1.0])
+    theta, converged = newton(
+        lambda t: 0.5 * float(t @ a @ t) - float(b @ t), lambda t: (a @ t - b, a.copy()), np.zeros(2)
+    )
+    assert converged
+    np.testing.assert_allclose(theta, np.linalg.solve(a, b), atol=1e-8)
+    assert not [w for w in recwarn if "Newton" in str(w.message)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from segshift import (
     ClusterAssignment,
@@ -23,7 +24,7 @@ from segshift import (
 from segshift.data import DataError
 from segshift.learners import LossKind, losses
 from segshift.learners.linear import LinearModel
-from segshift.mr import BaseEnsemble, SegmentModel, Stage1Model
+from segshift.mr import BaseEnsemble, SegmentModel, Stage1Model, _solve_shared_softmax
 
 SQ = LossKind("squared")
 
@@ -159,6 +160,42 @@ def test_stage1_lambda_max_warning():
     with pytest.warns(UserWarning, match="lambda_max"):
         model = fit_stage1((x, y), ens, ball=True, lambda_max=1e-6)
     assert model.ball_warning
+
+
+def _reference_shared_softmax(h, y, l2, fit_intercept):
+    """L-BFGS-B on the shared-softmax stacking objective, written out plainly."""
+    n, m, k = h.shape
+    onehot = np.eye(k)[y.astype(int)]
+
+    def fun(t):
+        beta, c = t[:m], (t[m:] if fit_intercept else np.zeros(k))
+        z = np.einsum("nmk,m->nk", h, beta) + c
+        lse = np.logaddexp.reduce(z, axis=1)
+        r = np.exp(z - lse[:, None]) - onehot
+        grad = [np.einsum("nk,nmk->m", r, h) + l2 * beta] + ([r.sum(axis=0)] if fit_intercept else [])
+        return float(np.sum(lse - (z * onehot).sum(axis=1))) + 0.5 * l2 * float(beta @ beta), np.concatenate(grad)
+
+    res = minimize(fun, np.zeros(m + (k if fit_intercept else 0)), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 20000, "maxcor": 30})
+    return res.x[:m], (res.x[m:] if fit_intercept else np.zeros(k))
+
+
+@pytest.mark.parametrize(
+    "n,fit_intercept,l2",
+    [(500, True, 1e-8), (500, False, 2.0), (20000, True, 1e-8)],
+    ids=["n500-intercept", "n500-no-intercept", "n20000-intercept"],
+)
+def test_shared_softmax_matches_lbfgs_reference(n, fit_intercept, l2):
+    # margins of three noisy base models around the true 3-class logits
+    rng = np.random.default_rng(n)
+    logits = rng.normal(size=(n, 3)) * 1.5 + np.array([0.4, 0.0, -0.3])
+    y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
+    h = logits[:, None, :] * np.array([0.6, 0.3, 0.2])[:, None] + rng.normal(size=(n, 3, 3))
+    beta, c = _solve_shared_softmax(h, y, losses.softmax_loss(3), l2, fit_intercept)
+    ref_beta, ref_c = _reference_shared_softmax(h, y, l2, fit_intercept)
+    np.testing.assert_allclose(beta, ref_beta, atol=1e-6)
+    # one shift of every class intercept leaves the margins' softmax unchanged
+    np.testing.assert_allclose(c - c.mean(), ref_c - ref_c.mean(), atol=1e-6)
 
 
 def test_stage1_needs_enough_rows():

@@ -166,6 +166,21 @@ def test_kmm_objective_monotone():
     assert np.all(diffs <= 1e-12)
 
 
+def test_kmm_warns_when_the_iteration_cap_ends_the_solve():
+    rng = np.random.default_rng(0)
+    train = rng.normal(0, 1, size=(40, 2))
+    test = rng.normal(2, 1, size=(40, 2))
+    with pytest.warns(UserWarning, match="KMM solve stopped at its 500-iteration cap"):
+        fit_kmm(train, test, kernel=KernelSpec(1.0))
+
+
+def test_kmm_converged_solve_does_not_warn(recwarn):
+    # train == test: uniform weights are optimal and the first step stops the solve
+    x = np.random.default_rng(0).normal(size=(50, 2))
+    fit_kmm(x, x.copy(), kernel=KernelSpec(1.0))
+    assert not [w for w in recwarn if "KMM" in str(w.message)]
+
+
 def test_kmm_rejects_non_finite_gram():
     train = np.array([[0.0], [np.nan]])
     test = np.array([[0.0], [1.0]])
