@@ -428,6 +428,8 @@ def cmd_cv(args) -> int:
         grid = CvGrid()
     else:
         doc = _load_json(args.grid)
+        if not isinstance(doc, dict) or not set(doc) <= {"base", "refine"}:
+            raise _usage("bad grid file: expected an object with 'base' and 'refine' entries")
         try:
             grid = CvGrid(base=doc.get("base", {}), refine=doc.get("refine", {}))
         except ValueError as exc:
@@ -556,7 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_pipeline_flags(p)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--grid", default="default", help="'default' or a JSON grid file")
+    p.add_argument(
+        "--grid", default="default",
+        help="'default' (base n_estimators 50, 200 x refine n_estimators 0, 25) "
+        "or a JSON grid file",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default="cv.json")

@@ -8,13 +8,14 @@ root of the effective sample size (sum w)^2 / sum w^2. Reports mirror the
 
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from ._seeds import derive_seed
 from .data import Dataset, kfold_plan
-from .mr import MRConfig, fit_mr, _segment_weights
+from .learners import GBTConfig
+from .mr import FitStages, MRConfig, fit_mr, _segment_weights
 
 CE_CLIP = 1e-12
 
@@ -159,31 +160,34 @@ def per_segment_report(
 
 @dataclass(frozen=True)
 class CvGrid:
-    """Named hyperparameter lists for the base and refinement models."""
+    """Named hyperparameter lists for the base and refinement models.
 
-    base: dict = field(
-        default_factory=lambda: {
-            "n_estimators": [10, 25, 50, 200, 300, 500],
-            "max_depth": [2, 3, 5, 7],
-            "subsample": [0.8, 1.0],
-            "colsample_bytree": [0.8, 1.0],
-        }
-    )
-    refine: dict = field(
-        default_factory=lambda: {
-            "learning_rate": [0.001, 0.01, 0.1],
-            "n_estimators": [0, 10, 25, 50],
-            "max_depth": [0, 1, 3],
-            "subsample": [0.8, 1.0],
-            "colsample_bytree": [0.8, 1.0],
-        }
-    )
+    Each key is a ``GBTConfig`` field other than ``seed``, which the
+    pipeline derives itself, and each value a non-empty list of settings for
+    it. The default is a small base x refine grid: per fold,
+    ``cross_validate`` fits two base ensembles and four sets of refiners.
+    """
+
+    base: dict = field(default_factory=lambda: {"n_estimators": [50, 200]})
+    refine: dict = field(default_factory=lambda: {"n_estimators": [0, 25]})
 
     def __post_init__(self):
-        for section in (self.base, self.refine):
-            for key, values in section.items():
+        names = {f.name for f in fields(GBTConfig)} - {"seed"}
+        for section, grid in (("base", self.base), ("refine", self.refine)):
+            if not isinstance(grid, dict):
+                raise ValueError(f"{section} must map GBTConfig fields to lists")
+            for key, values in grid.items():
+                if key not in names:
+                    raise ValueError(f"{section}: {key!r} is not a tunable GBTConfig field")
+                if not isinstance(values, (list, tuple)):
+                    raise ValueError(f"{section}: {key!r} must be a list of values")
                 if not values:
                     raise ValueError(f"empty grid list for {key!r}")
+                for value in values:
+                    try:
+                        GBTConfig(**{key: value})
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(f"{section}: bad {key} {value!r}: {exc}") from exc
 
     def points(self):
         """Cartesian product as (base_overrides, refine_overrides) dicts."""
@@ -207,9 +211,22 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
     """Pick the grid point with the lowest mean weighted validation loss.
 
     Each fold fits the pipeline on its train fold, computes importance
-    weights *on the validation fold* against the test features (once per
-    fold, shared by every grid point), and scores weighted validation loss.
-    Returns (best point, per-fold reports for the best point).
+    weights *on the validation fold* against the test features, and scores
+    weighted validation loss. Returns (best point, per-fold reports for
+    the best point).
+
+    Every (fold, point) model is a ``fit_mr`` call, and a fold's calls share
+    one ``FitStages`` memo, dropped after the fold. So the work runs:
+
+    - once per fold: the validation weights (and the BBSE classifier behind
+      them), the base/tune split, the distance matrix and the cluster cut;
+    - once per (fold, base point): the base ensemble, and per segment its
+      importance weights, tune margins and stage-1 stacking;
+    - once per (fold, grid point): the per-segment refiners, the validation
+      predictions and the score.
+
+    Each model is the same bytes as a ``fit_mr`` of that fold and point on
+    its own. A point whose fit fails on a fold warns and is skipped there.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -237,6 +254,7 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
     for fold_i, (train_idx, valid_idx) in enumerate(folds):
         fold_train = train.subset(train_idx)
         fold_cfg = replace(config, seed=derive_seed(config.seed, "cv-fold", fold_i))
+        stages = FitStages(fold_train, test_features)
         for point in points:
             base_over, refine_over = point
             cfg = replace(
@@ -245,7 +263,7 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
                 refine=replace(fold_cfg.refine, **refine_over),
             )
             try:
-                model = fit_mr(fold_train, test_features, cfg)
+                model = fit_mr(fold_train, test_features, cfg, stages=stages)
                 preds = model.predict(
                     train.features[valid_idx], train.segment_id[valid_idx]
                 )
@@ -264,6 +282,7 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
             )
             losses[_point_key(point)].append(report.overall.value)
             reports[_point_key(point)].append(report)
+        del stages  # the next fold's rows differ; free this fold's models
 
     scored = []
     for point in points:

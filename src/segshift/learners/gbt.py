@@ -17,6 +17,7 @@ group's leaf values are then summed sequentially in round order, so a
 row's margin is the same bits whatever batch it is predicted in.
 """
 
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -40,6 +41,10 @@ class GBTConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_estimators", "max_depth", "n_bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be >= 0")
         if self.max_depth < 0:

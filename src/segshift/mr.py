@@ -17,7 +17,7 @@ pooled per-segment weights (dr), optionally with one-hot segment features
 import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -658,12 +658,30 @@ def _resolve_clusters(train: Dataset, config: MRConfig, max_auto: int | None = N
     return cluster_segments(d, m)
 
 
-def fit_mr(train: Dataset, test_features, config: MRConfig) -> MRModel:
-    """Run the full pipeline and return the per-segment refined model.
+@dataclass
+class FitPlan:
+    """Stage 1 of ``fit_mr``: the checked test features, the split and the clusters."""
 
-    ``test_features`` is an (x, segment_ids) pair with ids in the training
-    dataset's segment vocabulary.
-    """
+    test_x: np.ndarray
+    test_segments: np.ndarray
+    tune_mask: np.ndarray  # bool over the training rows
+    base_fold: Dataset
+    assignment: ClusterAssignment
+    segments: list  # training segment ids, ascending
+
+
+@dataclass
+class SegmentHead:
+    """Stage 3 of ``fit_mr`` for one segment: what its refiner is fit on."""
+
+    tune_rows: np.ndarray
+    weights: WeightVector
+    tune_margins: np.ndarray
+    stage1: Stage1Model
+
+
+def plan_fit(train: Dataset, test_features, config: MRConfig) -> FitPlan:
+    """Check the inputs, split base/tune rows and assign segment clusters."""
     test_x, test_segments = test_features
     test_x = np.asarray(test_x, dtype=np.float64)
     test_segments = np.asarray(test_segments, dtype=np.int64)
@@ -675,56 +693,143 @@ def fit_mr(train: Dataset, test_features, config: MRConfig) -> MRModel:
     if not train_segs & set(int(s) for s in np.unique(test_segments)):
         raise ValueError("train and test segment vocabularies do not overlap")
 
-    plan = split_base_tune(train, config.varsigma, config.seed)
+    split = split_base_tune(train, config.varsigma, config.seed)
     tune_mask = np.zeros(train.n, dtype=bool)
-    tune_mask[plan.tune_indices] = True
+    tune_mask[split.tune_indices] = True
     min_tune = min(int(tune_mask[train.segment_rows(s)].sum()) for s in train_segs)
-    assignment = _resolve_clusters(train, config, max_auto=min_tune - 2)
-    base_fold = train.subset(plan.base_indices)
-    ensemble = fit_base_ensemble(base_fold, assignment, config.base.with_seed(config.seed))
+    return FitPlan(
+        test_x=test_x,
+        test_segments=test_segments,
+        tune_mask=tune_mask,
+        base_fold=train.subset(split.base_indices),
+        assignment=_resolve_clusters(train, config, max_auto=min_tune - 2),
+        segments=sorted(train_segs),
+    )
+
+
+def fit_segment_head(
+    train: Dataset, plan: FitPlan, ensemble: BaseEnsemble, config: MRConfig, s: int
+) -> SegmentHead:
+    """Segment ``s``'s importance weights, tune-row base margins and stage 1."""
+    seg_rows = train.segment_rows(s)
+    tune_rows = seg_rows[plan.tune_mask[seg_rows]]
+    if len(tune_rows) < ensemble.n_models + 1:
+        raise DataError(
+            f"segment {train.segment_names[s]!r} has {len(tune_rows)} tune rows; "
+            f"need at least {ensemble.n_models + 1}"
+        )
+    test_rows = np.flatnonzero(plan.test_segments == s)
     all_model = ensemble.models[-1]
+    wv = _segment_weights(
+        train, seg_rows, tune_rows, plan.test_x, test_rows, config,
+        lambda xm: all_model.predict_margin(xm),
+    )
+    tune_margins = ensemble.margins(train.features[tune_rows])
+    stage1 = fit_stage1(
+        (train.features[tune_rows], train.labels[tune_rows]),
+        ensemble,
+        ball=config.ball,
+        lambda_max=config.lambda_max,
+        fit_intercept=config.fit_intercept,
+        margins=tune_margins,
+    )
+    return SegmentHead(tune_rows=tune_rows, weights=wv, tune_margins=tune_margins, stage1=stage1)
+
+
+def _config_key(config: MRConfig, *without: str) -> tuple:
+    """The config's fields other than ``without``, as a hashable key."""
+    return tuple((f.name, getattr(config, f.name)) for f in fields(config) if f.name not in without)
+
+
+def _memo(table: dict, key, compute):
+    """``table[key]``, computed on first use; a ``compute`` that raises stores nothing."""
+    if key not in table:
+        table[key] = compute()
+    return table[key]
+
+
+class FitStages:
+    """Stage results shared by ``fit_mr`` calls on one ``(train, test_features)`` pair.
+
+    Each stage is keyed on the ``MRConfig`` fields it reads. The plan
+    (stage 1) is keyed on every field but ``base`` and ``refine``; the base
+    ensemble (stage 2) and each segment's head (stage 3) on every field but
+    ``refine``, since the BBSE weights use the all-segments base model. Only
+    the refiners (stage 4) are fit on every call.
+    """
+
+    def __init__(self, train: Dataset, test_features):
+        self.train = train
+        self.test_features = test_features
+        self.plans: dict = {}
+        self.ensembles: dict = {}
+        self.heads: dict = {}  # base key -> {segment id: SegmentHead}
+
+
+def fit_mr(
+    train: Dataset, test_features, config: MRConfig, *, stages: FitStages | None = None
+) -> MRModel:
+    """Run the full pipeline and return the per-segment refined model.
+
+    ``test_features`` is an (x, segment_ids) pair with ids in the training
+    dataset's segment vocabulary. The pipeline runs in four stages:
+
+    1. ``plan_fit``: input checks, the base/tune split and the cluster
+       assignment (MMD distance matrix and Ward cut);
+    2. ``fit_base_ensemble``: one model per cluster plus the all-segments
+       model, on the base fold;
+    3. ``fit_segment_head``, per segment: importance weights, the tune
+       rows' base margins and the stage-1 stacking (``fit_stage1``);
+    4. ``fit_stage2``, per segment: the weighted refiner.
+
+    Stages 3 and 4 of one segment run as one task of the thread pool.
+    ``stages``, a ``FitStages`` built for this ``(train, test_features)``
+    pair, keeps the results of stages 1-3 for later calls with other
+    ``refine`` (or ``base``) settings; the model is the same bytes as a fit
+    without it.
+    """
+    if stages is None:
+        stages = FitStages(train, test_features)
+    elif stages.train is not train or stages.test_features is not test_features:
+        raise ValueError("fit stages were built for another (train, test_features) pair")
+    plan = _memo(
+        stages.plans, _config_key(config, "base", "refine"),
+        lambda: plan_fit(train, test_features, config),
+    )
+    base_key = _config_key(config, "refine")
+    ensemble = _memo(
+        stages.ensembles, base_key,
+        lambda: fit_base_ensemble(
+            plan.base_fold, plan.assignment, config.base.with_seed(config.seed)
+        ),
+    )
+    # each pool task reads and writes only its own segment's entry
+    heads = stages.heads.setdefault(base_key, {})
 
     def fit_one_segment(s: int) -> SegmentModel:
-        seg_rows = train.segment_rows(s)
-        tune_rows = seg_rows[tune_mask[seg_rows]]
-        if len(tune_rows) < ensemble.n_models + 1:
-            raise DataError(
-                f"segment {train.segment_names[s]!r} has {len(tune_rows)} tune rows; "
-                f"need at least {ensemble.n_models + 1}"
-            )
-        test_rows = np.flatnonzero(test_segments == s)
-        wv = _segment_weights(
-            train, seg_rows, tune_rows, test_x, test_rows, config,
-            lambda xm: all_model.predict_margin(xm),
-        )
-        tune_xy = (train.features[tune_rows], train.labels[tune_rows])
-        tune_margins = ensemble.margins(train.features[tune_rows])
-        stage1 = fit_stage1(
-            tune_xy,
-            ensemble,
-            ball=config.ball,
-            lambda_max=config.lambda_max,
-            fit_intercept=config.fit_intercept,
-            margins=tune_margins,
-        )
+        head = _memo(heads, s, lambda: fit_segment_head(train, plan, ensemble, config, s))
         refine_cfg = config.refine.with_seed(
-            derive_seed(config.seed, "refine", index_digest(tune_rows))
+            derive_seed(config.seed, "refine", index_digest(head.tune_rows))
         )
-        refiner = fit_stage2(tune_xy, stage1, ensemble, wv, refine_cfg, margins=tune_margins)
-        return SegmentModel(stage1=stage1, refiner=refiner, weight_summary=wv.summary())
+        tune_xy = (train.features[head.tune_rows], train.labels[head.tune_rows])
+        refiner = fit_stage2(
+            tune_xy, head.stage1, ensemble, head.weights, refine_cfg, margins=head.tune_margins
+        )
+        return SegmentModel(
+            stage1=head.stage1, refiner=refiner, weight_summary=head.weights.summary()
+        )
 
-    order = sorted(train_segs)
+    order = plan.segments
     if config.n_threads > 1 and len(order) > 1:
         with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
             fitted = list(pool.map(fit_one_segment, order))
     else:
         fitted = [fit_one_segment(s) for s in order]
-    seg_models = dict(zip(order, fitted))
 
     return MRModel(
         task=train.task,
         ensemble=ensemble,
-        segments=seg_models,
+        segments=dict(zip(order, fitted)),
         segment_names=train.segment_names,
         feature_names=train.feature_names,
         config=config,

@@ -258,6 +258,33 @@ def test_cv_command(tmp_path):
     assert len(doc["fold_reports"]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"base": {"n_trees": [8]}},
+        {"base": {"n_estimators": 8}},
+        ["x"],
+        {"base": {"max_depth": [-1]}},
+        {"bases": {"n_estimators": [8]}},
+    ],
+    ids=["unknown-field", "not-a-list", "not-an-object", "invalid-value", "unknown-section"],
+)
+def test_cv_bad_grid_file_exit_2(tmp_path, capsys, doc):
+    run(simulate_args(tmp_path, n_train=200, n_test=100, segments=2))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    code = run([
+        "cv",
+        "--train", str(tmp_path / "train.csv"),
+        "--test", str(tmp_path / "test.csv"),
+        "--task", "regression",
+        "--grid", str(grid),
+        "--out", str(tmp_path / "cv.json"),
+    ])
+    assert code == 2
+    assert "bad grid file" in capsys.readouterr().err
+
+
 def test_full_chain_byte_deterministic(tmp_path):
     # simulate + fit + evaluate twice: identical model.json and report.json
     outputs = []

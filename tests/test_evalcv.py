@@ -1,8 +1,12 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 import segshift.evalcv as evalcv
 import segshift.learners as learners
+import segshift.mr as mr
 from segshift import (
     CvGrid,
     Dataset,
@@ -205,6 +209,27 @@ def test_cv_grid_validation():
         CvGrid(base={"n_estimators": []})
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"base": {"n_trees": [8]}}, "not a tunable GBTConfig field"),
+        ({"refine": {"seed": [1, 2]}}, "'seed' is not a tunable GBTConfig field"),
+        ({"base": {"n_estimators": 8}}, "must be a list"),
+        ({"refine": {"max_depth": [-1]}}, "bad max_depth -1"),
+        ({"base": {"n_estimators": [2.5]}}, "n_estimators must be an integer"),
+        ({"refine": {"learning_rate": ["fast"]}}, "bad learning_rate 'fast'"),
+        ({"base": [8]}, "must map GBTConfig fields"),
+    ],
+)
+def test_cv_grid_rejects_bad_entries(grid, message):
+    with pytest.raises(ValueError, match=message):
+        CvGrid(**grid)
+
+
+def test_cv_default_grid_is_small():
+    assert len(list(CvGrid().points())) == 4
+
+
 def test_cv_failing_point_excluded():
     train, test = sim(seed=5, n=200)
     # a 60-cluster request cannot be satisfied with 2 segments: always fails
@@ -234,6 +259,85 @@ def binary_sim(seed=0, n=450, segs=3):
         )
 
     return draw(n, 0.0), draw(n // 2, 0.5)
+
+
+def test_cv_failed_stage_is_recomputed_per_point(monkeypatch):
+    train, test = sim(seed=5, n=200)
+    grid = CvGrid(base={"n_estimators": [5]}, refine={"n_estimators": [2, 3]})
+    calls = []
+    distance = mr.segment_distance_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return distance(*args, **kwargs)
+
+    monkeypatch.setattr(mr, "segment_distance_matrix", counting)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="every grid point failed"):
+            cross_validate(
+                train, (test.features, test.segment_id), grid, 2, tiny_config(seed=5, clusters=60)
+            )
+    # the cluster cut raises, so no plan is kept: each (fold, point) recomputes and warns
+    assert len(calls) == 4
+    messages = [str(w.message) for w in caught]
+    assert sum(m.startswith("grid point") and "on fold" in m for m in messages) == 4
+
+
+@pytest.mark.parametrize("shift", ["covariate", "label"])
+def test_cv_stage_reuse_matches_direct_fits(monkeypatch, shift):
+    if shift == "covariate":
+        train, test = sim(seed=7, n=300, segs=3)
+    else:
+        train, test = binary_sim(seed=8)
+    cfg = tiny_config(seed=7, shift=shift)
+    features = (test.features, test.segment_id)
+    grid = CvGrid(base={"n_estimators": [5, 10]}, refine={"n_estimators": [0, 3]})
+    k = 2
+    fits, calls, current = [], [], []
+    fit_mr = evalcv.fit_mr
+
+    def recording_fit(fold_train, test_features, config, **kwargs):
+        current[:] = [fold_train]
+        model = fit_mr(fold_train, test_features, config, **kwargs)
+        fits.append((fold_train, test_features, config, model))
+        return model
+
+    def counting(name):
+        fn = getattr(mr, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((id(current[0]), name))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(evalcv, "fit_mr", recording_fit)
+    stages = ("segment_distance_matrix", "fit_base_ensemble", "fit_stage1", "fit_stage2")
+    for name in stages:
+        monkeypatch.setattr(mr, name, counting(name))
+    cross_validate(train, features, grid, k, cfg)
+    monkeypatch.undo()
+
+    assert len(fits) == 4 * k
+    fold_trains = {id(f[0]): f[0] for f in fits}
+    assert len(fold_trains) == k
+    for fold, fold_train in fold_trains.items():
+        n_segments = len(fold_train.present_segments())
+        counts = {name: calls.count((fold, name)) for name in stages}
+        assert counts == {
+            "segment_distance_matrix": 1,
+            "fit_base_ensemble": 2,
+            "fit_stage1": 2 * n_segments,
+            "fit_stage2": 4 * n_segments,
+        }
+    texts = []
+    for fold_train, test_features, config, model in fits:
+        text = json.dumps(model.to_dict(), sort_keys=True)
+        direct = mr.fit_mr(fold_train, test_features, config)
+        assert text == json.dumps(direct.to_dict(), sort_keys=True)
+        texts.append(text)
+    assert len(set(texts)) == len(texts)
 
 
 def test_cv_bbse_classifier_fit_once_per_fold(monkeypatch):

@@ -24,7 +24,7 @@ from segshift import (
 from segshift.data import DataError
 from segshift.learners import LossKind, losses
 from segshift.learners.linear import LinearModel
-from segshift.mr import BaseEnsemble, SegmentModel, Stage1Model, _solve_shared_softmax
+from segshift.mr import BaseEnsemble, FitStages, SegmentModel, Stage1Model, _solve_shared_softmax
 
 SQ = LossKind("squared")
 
@@ -513,6 +513,16 @@ def test_mr_threads_do_not_change_results():
     a = fit_mr(train, (test.features, test.segment_id), quick_config(seed=1, n_threads=1))
     b = fit_mr(train, (test.features, test.segment_id), quick_config(seed=1, n_threads=4))
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+def test_mr_refuses_stages_of_another_pair():
+    train, test = small_sim(seed=21, n=200)
+    features = (test.features, test.segment_id)
+    stages = FitStages(train, features)
+    other_train = train.subset(np.arange(train.n))
+    for args in ((other_train, features), (train, (test.features, test.segment_id))):
+        with pytest.raises(ValueError, match="another"):
+            fit_mr(*args, quick_config(), stages=stages)
 
 
 def test_mr_requires_overlapping_vocabulary():
