@@ -5,6 +5,11 @@ regression tree (K trees for softmax, one per class) to the gradient and
 hessian of the loss at the current margin. Split gain and leaf values use
 the standard second-order formulas with an L2 leaf penalty.
 
+A node's split search reads a per-bin histogram of its rows. Only the
+smaller child of a split gets one built from its rows; its sibling's is
+the parent's minus it (the histogram subtraction of LightGBM and XGBoost).
+The grower's partition of the rows also gives the new training margin.
+
 Two determinism guarantees beyond seeding: training rows are put into a
 canonical content order before fitting, so fitted models are invariant to
 input row order, and sample weights are rescaled to mean one, so models
@@ -51,6 +56,9 @@ class GBTConfig:
             raise ValueError("max_depth must be >= 0")
         if not (0.0 < self.subsample <= 1.0 and 0.0 < self.colsample_bytree <= 1.0):
             raise ValueError("subsample and colsample_bytree must be in (0, 1]")
+        for name in ("learning_rate", "min_child_weight", "leaf_l2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
         if self.min_child_weight < 0.0 or self.leaf_l2 < 0.0:
@@ -105,19 +113,6 @@ class Tree:
     right: np.ndarray  # int32
     value: np.ndarray  # float64
     class_k: int = 0
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[0])
-        stack = [(0, np.arange(x.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if self.feature[node] < 0:
-                out[rows] = self.value[node]
-                continue
-            go_left = x[rows, self.feature[node]] < self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -379,104 +374,113 @@ def _canonical_order(x, y, w, base_margin):
     return np.lexsort(tuple(keys))
 
 
+def _histogram(flat, n_bins, g, h, rows):
+    """(3, n_cols, n_bins) sums of g, of h and of 1 over ``rows`` per (column, bin).
+
+    ``flat`` is (n_cols, n): column i's bin codes shifted by i * n_bins.
+    """
+    n_cols = flat.shape[0]
+    size = n_cols * n_bins
+    idx = flat.take(rows, axis=1).ravel()
+    hist = np.empty((3, size))
+    hist[0] = np.bincount(idx, weights=np.tile(g[rows], n_cols), minlength=size)
+    hist[1] = np.bincount(idx, weights=np.tile(h[rows], n_cols), minlength=size)
+    hist[2] = np.bincount(idx, minlength=size)
+    return hist.reshape(3, n_cols, n_bins)
+
+
 class _TreeGrower:
+    """Grows one tree at a time on the binned training rows.
+
+    A node's histogram is one (3, n_cols, max_bins) array of gradient sums,
+    hessian sums and row counts per (sampled column, bin). Only the smaller
+    child of a split (by row count, ties go left) gets one built from its
+    rows; its sibling's is the parent's minus it. Children at ``max_depth``
+    get none, and a child's g and h sums come from the parent's histogram.
+
+    Out-of-bag rows are partitioned by the same ``bin <= b`` test as in-bag
+    ones, so each leaf's value lands on all of its rows: ``x < edges[b]`` is
+    exactly ``bin <= b``, so this is a walk of the fitted tree, bit for bit.
+    """
+
     def __init__(self, codes, edges, cfg):
-        self.codes = codes
-        self.codes_t = np.ascontiguousarray(codes.T)
         self.edges = edges
         self.cfg = cfg
         self.max_bins = max((len(e) + 1 for e in edges), default=1)
+        # feature j's bins, shifted to [j * max_bins, (j + 1) * max_bins)
+        self.flat = np.ascontiguousarray(codes.T, dtype=np.intp)
+        self.flat += (np.arange(codes.shape[1]) * self.max_bins)[:, None]
 
-    def grow(self, g, h, rows, cols):
-        feat, thr, left, right, value = [], [], [], [], []
+    def grow(self, g, h, rows, oob, cols):
+        """A tree fitted on in-bag ``rows`` over ``cols``: its node arrays,
+        then its value at each of the n rows, ``rows`` and ``oob`` alike.
+        """
+        cfg = self.cfg
+        nb = self.max_bins
+        nc = len(cols)
+        # the sampled columns' bins, shifted to [i * nb, (i + 1) * nb)
+        flat = self.flat[cols] - ((cols - np.arange(nc)) * nb)[:, None]
+        nodes = []  # [feature, threshold, left, right, value] in pre-order
+        fitted = np.empty(len(g))
+        root = _histogram(flat, nb, g, h, rows) if cfg.max_depth > 0 else None
+        # (rows, out-of-bag rows, g sum, h sum, histogram, depth, parent if a right child)
+        stack = [(rows, oob, float(g[rows].sum()), float(h[rows].sum()), root, 0, None)]
+        # gains divide by zero only where a split is invalid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while stack:
+                rows, oob, gs, hs, hist, depth, parent = stack.pop()
+                if parent is not None:
+                    parent[3] = len(nodes)
+                split = None if hist is None else self._best_split(hist, gs, hs, len(rows))
+                if split is None:
+                    denom = hs + cfg.leaf_l2
+                    val = 0.0 if denom <= 0 else -gs / denom * cfg.learning_rate
+                    fitted[rows] = val
+                    fitted[oob] = val
+                    nodes.append([-1, 0.0, -1, -1, val])
+                    continue
+                i, b, gl, hl = split
+                j = int(cols[i])
+                # the left child is popped next, so it takes the next index
+                node = [j, float(self.edges[j][b]), len(nodes) + 1, -1, 0.0]
+                nodes.append(node)
+                go_left = flat[i].take(rows) <= i * nb + b
+                oob_left = flat[i].take(oob) <= i * nb + b
+                rows_l, rows_r = rows[go_left], rows[~go_left]
+                hist_l = hist_r = None
+                if depth + 1 < cfg.max_depth:
+                    if len(rows_l) <= len(rows_r):
+                        hist_l = _histogram(flat, nb, g, h, rows_l)
+                        hist_r = hist - hist_l
+                    else:
+                        hist_r = _histogram(flat, nb, g, h, rows_r)
+                        hist_l = hist - hist_r
+                stack.append((rows_r, oob[~oob_left], gs - gl, hs - hl, hist_r, depth + 1, node))
+                stack.append((rows_l, oob[oob_left], gl, hl, hist_l, depth + 1, None))
+        feat, thr, left, right, value = (np.asarray(v) for v in zip(*nodes))
+        i32 = np.int32
+        return feat.astype(i32), thr, left.astype(i32), right.astype(i32), value, fitted
 
-        def leaf(gs, hs):
-            idx = len(feat)
-            denom = hs + self.cfg.leaf_l2
-            val = 0.0 if denom <= 0 else -gs / denom * self.cfg.learning_rate
-            feat.append(-1)
-            thr.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(val)
-            return idx
-
-        def build(rows, depth):
-            gr = g[rows]
-            hr = h[rows]
-            gs = float(gr.sum())
-            hs = float(hr.sum())
-            if depth >= self.cfg.max_depth or len(rows) < 2:
-                return leaf(gs, hs)
-            split = self._best_split(rows, gr, hr, gs, hs, cols)
-            if split is None:
-                return leaf(gs, hs)
-            j, b = split
-            idx = len(feat)
-            feat.append(j)
-            thr.append(float(self.edges[j][b]))
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            go_left = self.codes[rows, j] <= b
-            left[idx] = build(rows[go_left], depth + 1)
-            right[idx] = build(rows[~go_left], depth + 1)
-            return idx
-
-        build(rows, 0)
-        return (
-            np.asarray(feat, dtype=np.int32),
-            np.asarray(thr),
-            np.asarray(left, dtype=np.int32),
-            np.asarray(right, dtype=np.int32),
-            np.asarray(value),
-        )
-
-    def _best_split(self, rows, gr, hr, gs, hs, cols):
+    def _best_split(self, hist, gs, hs, n_rows):
+        """The best split as (column position, bin, left g sum, left h sum), or None."""
         cfg = self.cfg
         lam = cfg.leaf_l2
-        nb = self.max_bins
-        if nb < 2:
-            return None
         parent = gs * gs / (hs + lam) if hs + lam > 0 else 0.0
-        # one flattened histogram over (statistic, feature, bin) per node
-        nc = len(cols)
-        m = len(rows)
-        sub = self.codes_t[np.ix_(cols, rows)]
-        flat = (sub + (np.arange(nc) * nb)[:, None]).ravel()
-        flat3 = np.concatenate([flat, flat + nc * nb, flat + 2 * nc * nb])
-        wts = np.empty(3 * nc * m)
-        for i in range(nc):
-            wts[i * m : (i + 1) * m] = gr
-            wts[(nc + i) * m : (nc + i + 1) * m] = hr
-        wts[2 * nc * m :] = 1.0
-        hg, hh, hc = np.bincount(flat3, weights=wts, minlength=3 * nc * nb).reshape(
-            3, nc, nb
-        )
-        gl = hg.cumsum(axis=1)[:, :-1]
-        hl = hh.cumsum(axis=1)[:, :-1]
-        cl = hc.cumsum(axis=1)[:, :-1]
-        gright = gs - gl
-        hright = hs - hl
-        valid = (
-            (cl > 0)
-            & (cl < len(rows))
-            & (hl >= cfg.min_child_weight)
-            & (hright >= cfg.min_child_weight)
-            & (hl + lam > 0)
-            & (hright + lam > 0)
-        )
-        if not valid.any():
-            return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl * gl / (hl + lam) + gright * gright / (hright + lam) - parent)
-        gains = np.where(valid, gains, -np.inf)
+        # bin b sends bins <= b left; the last bin sends every row left, and
+        # cl < n_rows rules it out
+        gl, hl, cl = hist.cumsum(axis=2)
+        gr = gs - gl
+        hr = hs - hl
+        h_min = np.minimum(hl, hr)
+        valid = (cl > 0) & (cl < n_rows) & (h_min >= cfg.min_child_weight) & (h_min + lam > 0)
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+        gains[~valid] = -np.inf
         # row-major argmax: ties go to the smallest (feature, bin) pair
         idx = int(np.argmax(gains))
-        if gains.ravel()[idx] <= 0.0:
+        if gains.flat[idx] <= 0.0:
             return None
-        f_pos, b = divmod(idx, nb - 1)
-        return int(cols[f_pos]), int(b)
+        i, b = divmod(idx, self.max_bins)
+        return i, b, float(gl[i, b]), float(hl[i, b])
 
 
 def fit_gbt(
@@ -545,21 +549,17 @@ def fit_gbt(
             raise ValueError("non-finite gradients during boosting")
         g = g.reshape(n, width) * w[:, None]
         h = h.reshape(n, width) * w[:, None]
-        if cfg.subsample < 1.0:
-            rows = np.sort(rng.permutation(n)[:n_sub])
-        else:
-            rows = np.arange(n)
+        in_bag = np.zeros(n, dtype=bool)
+        in_bag[rng.permutation(n)[:n_sub] if cfg.subsample < 1.0 else slice(None)] = True
+        rows, oob = np.flatnonzero(in_bag), np.flatnonzero(~in_bag)
         for k in range(width):
             if cfg.colsample_bytree < 1.0:
                 cols = np.sort(rng.permutation(d)[:n_cols])
             else:
                 cols = np.arange(d)
-            arrays = grower.grow(g[:, k], h[:, k], rows, cols)
-            tree = Tree(*arrays, class_k=k)
-            trees.append(tree)
-            # "x < edges[b]" is exactly the grower's "bin <= b", so the
-            # raw-value apply reproduces the training partition
-            margin[:, k] += tree.apply(x)
+            *arrays, fitted = grower.grow(g[:, k], h[:, k], rows, oob, cols)
+            trees.append(Tree(*arrays, class_k=k))
+            margin[:, k] += fitted
 
     return GBTModel(
         loss=loss,

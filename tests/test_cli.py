@@ -285,6 +285,37 @@ def test_cv_bad_grid_file_exit_2(tmp_path, capsys, doc):
     assert "bad grid file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("fit", ["--base-min-child-weight", "nan"]),
+        ("fit", ["--refine-leaf-l2", "inf"]),
+        ("fit", ["--base-learning-rate", "inf"]),
+        ("cv", {"base": {"min_child_weight": [float("nan")]}}),
+        ("cv", {"refine": {"leaf_l2": [1.0, float("inf")]}}),
+        ("cv", {"base": {"learning_rate": [float("inf")]}}),
+    ],
+    ids=["fit-nan-min-child-weight", "fit-inf-leaf-l2", "fit-inf-learning-rate",
+         "cv-nan-min-child-weight", "cv-inf-leaf-l2", "cv-inf-learning-rate"],
+)
+def test_non_finite_gbt_setting_exit_2(tmp_path, capsys, command, setting):
+    run(simulate_args(tmp_path, n_train=200, n_test=100, segments=2))
+    if command == "fit":
+        argv = fit_args(tmp_path, extra=setting)
+    else:
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(setting))  # json writes NaN and Infinity literals
+        argv = [
+            "cv",
+            "--train", str(tmp_path / "train.csv"),
+            "--test", str(tmp_path / "test.csv"),
+            "--grid", str(grid),
+            "--out", str(tmp_path / "cv.json"),
+        ]
+    assert run(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_full_chain_byte_deterministic(tmp_path):
     # simulate + fit + evaluate twice: identical model.json and report.json
     outputs = []

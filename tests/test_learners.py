@@ -290,7 +290,7 @@ def round_losses(model, x, y, w, loss, base=None):
     out.append(np.average(losses.loss_values(loss, y, m), weights=w))
     for group in per_round:
         for tree in group:
-            margin[:, tree.class_k] += tree.apply(x)
+            margin[:, tree.class_k] += walk(tree, x)
         m = margin[:, 0] if width == 1 else margin
         out.append(np.average(losses.loss_values(loss, y, m), weights=w))
     return np.asarray(out)
@@ -404,6 +404,10 @@ def test_gbt_config_validation():
         GBTConfig(subsample=0.0)
     with pytest.raises(ValueError):
         GBTConfig(n_bins=1)
+    for name in ("learning_rate", "min_child_weight", "leaf_l2"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GBTConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +447,23 @@ def random_tree(rng, n_features, max_depth, class_k=0, split_p=0.7, x=None):
     )
 
 
+def walk(tree, x):
+    """One tree's leaf value at each row of ``x``, found node by node."""
+    out = np.empty(x.shape[0])
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if tree.feature[node] < 0:
+            out[rows] = tree.value[node]
+            continue
+        go_left = x[rows, tree.feature[node]] < tree.threshold[node]
+        stack.append((tree.left[node], rows[go_left]))
+        stack.append((tree.right[node], rows[~go_left]))
+    return out
+
+
 def walk_oracle(model, x):
-    """init margin plus each class's Tree.apply values added tree after tree."""
+    """init margin plus each class's walked tree values added tree after tree."""
     w = model.loss.margin_width
     out = np.zeros((x.shape[0], w))
     if model.init_margin is not None:
@@ -452,9 +471,9 @@ def walk_oracle(model, x):
     for k in range(w):
         trees = [t for t in model.trees if t.class_k == k]
         if trees:
-            acc = trees[0].apply(x)
+            acc = walk(trees[0], x)
             for t in trees[1:]:
-                acc = acc + t.apply(x)
+                acc = acc + walk(t, x)
             out[:, k] += acc
     return out[:, 0] if w == 1 else out
 
@@ -610,3 +629,141 @@ def test_gbt_from_dict_rejects_bad_class_and_init():
     doc["init_margin"] = [0.0, 1.0]
     with pytest.raises(ValueError, match="init_margin"):
         GBTModel.from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# the histogram-subtraction grower against a plain per-node reference
+
+
+def reference_histogram(codes, g, h, rows, cols, n_bins):
+    """(g, h, count) histograms of one node from one direct bincount over its rows."""
+    nc, m = len(cols), len(rows)
+    sub = codes[np.ix_(rows, cols)].T
+    flat = (sub + (np.arange(nc) * n_bins)[:, None]).ravel()
+    flat3 = np.concatenate([flat, flat + nc * n_bins, flat + 2 * nc * n_bins])
+    wts = np.concatenate([np.tile(g[rows], nc), np.tile(h[rows], nc), np.ones(nc * m)])
+    return np.bincount(flat3, weights=wts, minlength=3 * nc * n_bins).reshape(3, nc, n_bins)
+
+
+def reference_split(hist, gs, hs, n_rows, cfg):
+    """Best (column position, bin) by the second-order gain, or None."""
+    lam = cfg.leaf_l2
+    gl, hl, cl = (a.cumsum(axis=1)[:, :-1] for a in hist)
+    gr, hr = gs - gl, hs - hl
+    valid = (
+        (cl > 0) & (cl < n_rows)
+        & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+        & (hl + lam > 0) & (hr + lam > 0)
+    )
+    if not valid.any():
+        return None
+    parent = gs * gs / (hs + lam) if hs + lam > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    gains = np.where(valid, gains, -np.inf)
+    idx = int(np.argmax(gains))
+    if gains.ravel()[idx] <= 0.0:
+        return None
+    return divmod(idx, gl.shape[1])
+
+
+def grower_data(loss, n=600, d=4, seed=51):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    if loss.name == "squared":
+        y = x[:, 0] * x[:, 1] + np.sin(2 * x[:, 2]) + rng.normal(0, 0.3, n)
+    else:
+        k = max(loss.margin_width, 2)
+        y = np.argmax(x[:, :k] + rng.gumbel(size=(n, k)), axis=1)
+    return x, y, rng.uniform(0.2, 3.0, n)
+
+
+GROWER_CFG = GBTConfig(n_estimators=6, max_depth=4, subsample=0.8, colsample_bytree=0.5, seed=7)
+
+
+@pytest.mark.parametrize("loss", [SQ, LOG, SOFT])
+def test_grower_histograms_and_splits_match_direct_reference(monkeypatch, loss):
+    from segshift.learners import gbt
+
+    grown, searched = [], []
+    grow, best_split = gbt._TreeGrower.grow, gbt._TreeGrower._best_split
+
+    def spy_grow(self, g, h, rows, oob, cols):
+        searched.append([])
+        out = grow(self, g, h, rows, oob, cols)
+        grown.append((self, g.copy(), h.copy(), rows, cols, out))
+        return out
+
+    def spy_split(self, hist, gs, hs, n_rows):
+        searched[-1].append((hist.copy(), gs, hs, n_rows))
+        return best_split(self, hist, gs, hs, n_rows)
+
+    monkeypatch.setattr(gbt._TreeGrower, "grow", spy_grow)
+    monkeypatch.setattr(gbt._TreeGrower, "_best_split", spy_split)
+    x, y, w = grower_data(loss)
+    fit_gbt(x, y, loss, GROWER_CFG, sample_weight=w)
+
+    cfg, n_children, n_splits = GROWER_CFG, 0, 0
+    for (grower, g, h, rows, cols, (feat, thr, left, right, _, _)), calls in zip(grown, searched):
+        nb = grower.max_bins
+        codes = (grower.flat - (np.arange(grower.flat.shape[0]) * nb)[:, None]).T
+        # each node's rows, depth and parent's rows, walked in node order
+        node_rows, depth, parent_rows = {0: rows}, {0: 0}, {0: rows}
+        want_calls = []
+        for node in range(len(feat)):
+            r = node_rows[node]
+            if depth[node] < cfg.max_depth:
+                want_calls.append(node)
+            if feat[node] < 0:
+                continue
+            b = int(np.searchsorted(grower.edges[feat[node]], thr[node]))
+            go_left = codes[r, feat[node]] <= b
+            for child, part in ((left[node], r[go_left]), (right[node], r[~go_left])):
+                node_rows[child], depth[child], parent_rows[child] = part, depth[node] + 1, r
+        assert len(calls) == len(want_calls)
+        for node, (hist, gs, hs, n_rows) in zip(want_calls, calls):
+            r, pr = node_rows[node], parent_rows[node]
+            ref = reference_histogram(codes, g, h, r, cols, nb)
+            if node == 0:
+                np.testing.assert_array_equal(hist, ref)
+            np.testing.assert_array_equal(hist[2], ref[2])
+            for plane, stat in ((0, g), (1, h)):
+                scale = 1e-12 * np.abs(stat[pr]).sum()
+                assert np.max(np.abs(hist[plane] - ref[plane])) <= scale
+                assert abs((gs, hs)[plane] - stat[r].sum()) <= scale
+            assert n_rows == len(r)
+            n_children += node > 0  # the larger of two siblings has a subtracted histogram
+            want = reference_split(ref, g[r].sum(), h[r].sum(), len(r), cfg)
+            got = None
+            if feat[node] >= 0:
+                got = (int(np.flatnonzero(cols == feat[node])[0]),
+                       int(np.searchsorted(grower.edges[feat[node]], thr[node])))
+                n_splits += 1
+            assert got == want
+    assert n_splits > 20 and n_children > 20
+
+
+@pytest.mark.parametrize("loss", [SQ, LOG, SOFT])
+def test_training_margin_equals_walk_of_fitted_trees(monkeypatch, loss):
+    from segshift.learners.gbt import _canonical_order
+
+    seen = []
+    grad_hess = losses.grad_hess
+
+    def spy(loss_, y_, margin):
+        seen.append(np.array(margin, copy=True))
+        return grad_hess(loss_, y_, margin)
+
+    monkeypatch.setattr(losses, "grad_hess", spy)
+    x, y, w = grower_data(loss)
+    model = fit_gbt(x, y, loss, GROWER_CFG, sample_weight=w)
+    assert len(seen) == GROWER_CFG.n_estimators
+
+    yy = y.astype(np.int64) if loss.is_classification else y.astype(float)
+    xc = x[_canonical_order(x, yy, w / w.mean(), None)]
+    width = loss.margin_width
+    margin = np.tile(model.init_margin, (len(y), 1))
+    for r, got in enumerate(seen):
+        np.testing.assert_array_equal(got, margin[:, 0] if width == 1 else margin)
+        for tree in model.trees[r * width : (r + 1) * width]:
+            margin[:, tree.class_k] += walk(tree, xc)

@@ -1,0 +1,110 @@
+"""Micro-benchmark of the boosted-tree kernels that dominate fitting and predicting.
+
+Times three kernels of ``segshift.learners.gbt`` on fixed shapes and seeded
+data:
+
+- ``histogram``: one node histogram (``_histogram``) over all n rows of d
+  columns with 256 bins, for n in {1000, 8000} and d in {4, 5};
+- ``best_split``: one split search (``_TreeGrower._best_split``) on that
+  histogram;
+- ``forest_sums``: one traversal (``_PackedForest.sums``) of a 200-tree,
+  depth-3 squared-loss model fitted on 8000 rows of d columns, for 1 row
+  and for 4000 rows.
+
+Each figure is the per-call time in microseconds: the median and the
+minimum over 7 repeats of a loop that runs for at least 0.1 s. Run from
+the repository root; it prints one JSON object with the machine facts:
+
+    python3 tools/kernel_bench.py
+"""
+
+import json
+import os
+import platform
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from segshift.learners import LossKind, fit_gbt  # noqa: E402
+from segshift.learners.gbt import (  # noqa: E402
+    _bin_features,
+    _histogram,
+    _TreeGrower,
+    cluster_base_config,
+)
+
+N_BINS = 256
+REPEATS = 7
+
+
+def per_call_us(fn):
+    timer = timeit.Timer(fn)
+    number = 1
+    while timer.timeit(number) < 0.1:
+        number *= 2
+    times = np.asarray(timer.repeat(repeat=REPEATS, number=number)) / number * 1e6
+    return {"us_median": round(float(np.median(times)), 3), "us_min": round(float(times.min()), 3)}
+
+
+def data(n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = x[:, 0] * x[:, 1] + np.sin(2 * x[:, 2]) + rng.normal(0, 0.3, n)
+    return x, y
+
+
+def node_kernels(n, d):
+    x, y = data(n, d)
+    edges, codes = _bin_features(x, N_BINS)
+    cfg = cluster_base_config()
+    grower = _TreeGrower(codes, edges, cfg)
+    rng = np.random.default_rng(1)
+    g, h = rng.normal(size=n), rng.uniform(0.5, 1.5, size=n)
+    rows = np.arange(n)
+    nb = grower.max_bins
+    hist = _histogram(grower.flat, nb, g, h, rows)
+    gs, hs = float(g.sum()), float(h.sum())
+
+    def split():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return grower._best_split(hist, gs, hs, n)
+
+    shape = {"n": n, "d": d, "bins": N_BINS}
+    return [
+        {"kernel": "histogram", **shape, **per_call_us(lambda: _histogram(grower.flat, nb, g, h, rows))},
+        {"kernel": "best_split", **shape, **per_call_us(split)},
+    ]
+
+
+def forest_kernels(d):
+    x, y = data(8000, d)
+    model = fit_gbt(x, y, LossKind("squared"), cluster_base_config(seed=2))
+    model.predict_margin(x[:1])  # packs the forest
+    forest = model._packed
+    xt = np.random.default_rng(3).normal(size=(4000, d))
+    shape = {"trees": len(model.trees), "depth": forest.depth, "d": d}
+    return [
+        {"kernel": "forest_sums", **shape, "rows": m, **per_call_us(lambda m=m: forest.sums(xt[:m]))}
+        for m in (1, 4000)
+    ]
+
+
+def main():
+    results = [r for n in (1000, 8000) for d in (4, 5) for r in node_kernels(n, d)]
+    results += [r for d in (4, 5) for r in forest_kernels(d)]
+    machine = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    print(json.dumps({"machine": machine, "results": results}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
