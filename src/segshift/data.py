@@ -386,16 +386,6 @@ def load_csv(
     )
 
 
-def decode_onehot_categories(feature_names) -> dict:
-    """Recover ``column -> set of categories`` from one-hot column names."""
-    out: dict[str, set] = {}
-    for name in feature_names:
-        if "=" in name:
-            col, cat = name.split("=", 1)
-            out.setdefault(col, set()).add(cat)
-    return out
-
-
 def write_csv(data: Dataset, path, label_name: str = "y") -> None:
     """Write a dataset back out with a ``__segment__`` string column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

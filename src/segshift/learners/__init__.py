@@ -1,6 +1,6 @@
 """Base learners: linear models and gradient boosted trees."""
 
-from .gbt import GBTConfig, GBTModel, Tree, cluster_base_config, fit_gbt, refine_config
+from .gbt import GBTConfig, GBTModel, cluster_base_config, fit_gbt, refine_config
 from .linear import LinearModel, fit_linear
 from .losses import (
     LOGISTIC,
@@ -15,7 +15,6 @@ from .losses import (
 __all__ = [
     "GBTConfig",
     "GBTModel",
-    "Tree",
     "LinearModel",
     "LossKind",
     "SQUARED",
@@ -30,12 +29,3 @@ __all__ = [
     "margin_to_proba",
 ]
 
-
-def predict_margin(model, x, base_margin=None):
-    """Raw score(s) from a fitted linear or boosted-tree model."""
-    if isinstance(model, LinearModel):
-        out = model.predict_margin(x)
-        if base_margin is not None:
-            out = out + base_margin
-        return out
-    return model.predict_margin(x, base_margin=base_margin)

@@ -15,11 +15,14 @@ canonical content order before fitting, so fitted models are invariant to
 input row order, and sample weights are rescaled to mean one, so models
 are invariant to the overall weight scale.
 
-Prediction packs trees into one flat forest of tree groups, one group per
-(model, class), and walks it once: every row descends every tree for
-exactly the forest's depth, because leaves route to themselves. Each
-group's leaf values are then summed sequentially in round order, so a
-row's margin is the same bits whatever batch it is predicted in.
+A model's trees are one ``Forest`` record of flat node arrays, from the
+grower (joined once per fit) to the JSON (format v1, one dict per node).
+Prediction concatenates the records of one or more models into one packed
+forest of tree groups, one group per (model, class), and walks it once:
+every row descends every tree for exactly the forest's depth, because
+leaves route to themselves. Each group's leaf values are then summed
+sequentially in round order, so a row's margin is the same bits whatever
+batch it is predicted in.
 """
 
 import numbers
@@ -98,13 +101,18 @@ def refine_config(seed: int = 0, **overrides) -> GBTConfig:
     return GBTConfig(**cfg)
 
 
-@dataclass
-class Tree:
-    """One regression tree as flat node arrays; leaves have feature == -1.
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
-    Children come after their parent (``parent < child < n_nodes``), so
-    every path ends. Fitted trees are built that way; ``GBTModel.from_dict``
-    checks it for the trees it reads.
+
+@dataclass(eq=False)
+class Forest:
+    """Every tree of a model as flat node arrays, tree after tree.
+
+    Tree ``i`` holds nodes ``offsets[i]:offsets[i + 1]`` and adds to margin
+    column ``class_k[i]``; leaves have feature == -1. Child indices are
+    local to their tree, as in the JSON, and come after their parent
+    (``node < child < n_nodes``), so every path ends. Fitted trees are built
+    that way; ``GBTModel.from_dict`` checks it for the trees it reads.
     """
 
     feature: np.ndarray  # int32
@@ -112,77 +120,80 @@ class Tree:
     left: np.ndarray  # int32
     right: np.ndarray  # int32
     value: np.ndarray  # float64
-    class_k: int = 0
+    offsets: np.ndarray  # intp, (n_trees + 1,)
+    class_k: np.ndarray  # int32, (n_trees,)
 
-    def to_dict(self) -> dict:
-        return {
-            "class_k": self.class_k,
-            "nodes": [
-                {
-                    "feature": int(self.feature[i]),
-                    "threshold": float(self.threshold[i]),
-                    "left": int(self.left[i]),
-                    "right": int(self.right[i]),
-                    "value": float(self.value[i]),
-                }
-                for i in range(len(self.feature))
-            ],
-        }
+    def __len__(self) -> int:
+        return len(self.class_k)
+
+    @classmethod
+    def join(cls, trees: list, class_k: list) -> "Forest":
+        """The record of trees given as (feature, threshold, left, right, value) sequences."""
+        dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64)
+        return cls(
+            *(np.array([v for t in trees for v in t[j]], dtype=dt) for j, dt in enumerate(dtypes)),
+            offsets=np.array([0, *(len(t[0]) for t in trees)], dtype=np.intp).cumsum(),
+            class_k=np.asarray(class_k, dtype=np.int32),
+        )
+
+    def to_dicts(self) -> list:
+        """The trees as JSON v1 dicts: ``{"class_k", "nodes": [one dict per node]}``."""
+        columns = (getattr(self, key).tolist() for key in _NODE_FIELDS)
+        nodes = [dict(zip(_NODE_FIELDS, node)) for node in zip(*columns)]
+        bounds = self.offsets.tolist()
+        return [
+            {"class_k": k, "nodes": nodes[a:b]}
+            for k, a, b in zip(self.class_k.tolist(), bounds, bounds[1:])
+        ]
 
 
-def _index_field(nodes: list, key: str) -> np.ndarray:
-    """One int32 index field of every node, rejecting non-integers.
+def _index_field(items: list, key: str, what: str = "tree node") -> np.ndarray:
+    """One int32 index field of every item, rejecting non-integers.
 
     The field is read with the dtype JSON gave it, so that ``1.5`` is
     rejected rather than truncated to ``1``, and must fit int32.
     """
-    raw = np.array([n[key] for n in nodes])
+    raw = np.array([n[key] for n in items])
     if raw.dtype.kind not in "iu":
-        raise ValueError(f"tree node {key!r} values are not all integers")
+        raise ValueError(f"{what} {key!r} values are not all integers")
     out = raw.astype(np.int32)
     if np.any(out != raw):
-        raise ValueError(f"tree node {key!r} value outside the int32 range")
+        raise ValueError(f"{what} {key!r} value outside the int32 range")
     return out
 
 
-def _read_trees(docs: list, n_features: int) -> list:
-    """Trees from their dicts, rejecting node links a walk could not follow.
+def _read_trees(docs: list, n_features: int, width: int) -> Forest:
+    """The forest of tree dicts, rejecting what a walk could not follow.
 
-    An internal node (feature != -1) must split on a feature in
-    [0, n_features) and name two children in (node, n_nodes) of its tree.
-    The model's nodes are read into one array per field, and the trees are
-    views of them: numpy calls per tree would cost more than the parse.
+    Each tree's class_k must be an integer in [0, width), and an internal
+    node (feature != -1) must split on a feature in [0, n_features) and name
+    two children in (node, n_nodes) of its tree. The model's nodes are read
+    into one array per field: numpy calls per tree would cost more than the
+    parse.
     """
-    if not docs:
-        return []
+    if not docs:  # nothing to check, and numpy calls on empty arrays are not free
+        return Forest.join([], [])
     sizes = np.asarray([len(t["nodes"]) for t in docs], dtype=np.intp)
     if np.any(sizes == 0):
         raise ValueError("tree has no nodes")
+    class_k = _index_field(docs, "class_k", what="tree")
+    if np.any((class_k < 0) | (class_k >= width)):
+        raise ValueError(f"tree class_k outside [0, {width})")
     nodes = [n for t in docs for n in t["nodes"]]
     feature, left, right = (_index_field(nodes, key) for key in ("feature", "left", "right"))
     threshold, value = (
         np.array([n[key] for n in nodes], dtype=np.float64) for key in ("threshold", "value")
     )
-    starts = np.cumsum(sizes) - sizes
+    offsets = np.append(0, sizes.cumsum())
     internal = feature != -1
-    node = (np.arange(len(feature)) - np.repeat(starts, sizes))[internal]
+    node = (np.arange(len(feature)) - np.repeat(offsets[:-1], sizes))[internal]
     n_nodes = np.repeat(sizes, sizes)[internal]
     if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
         raise ValueError(f"tree splits on a feature outside [0, {n_features})")
     for side, child in (("left", left[internal]), ("right", right[internal])):
         if np.any((child <= node) | (child >= n_nodes)):
             raise ValueError(f"tree {side} child index is not in (node, n_nodes)")
-    return [
-        Tree(
-            feature=feature[i : i + m],
-            threshold=threshold[i : i + m],
-            left=left[i : i + m],
-            right=right[i : i + m],
-            value=value[i : i + m],
-            class_k=int(t["class_k"]),
-        )
-        for t, i, m in zip(docs, starts.tolist(), sizes.tolist())
-    ]
+    return Forest(feature, threshold, left, right, value, offsets, class_k)
 
 
 # Elements of one (trees, rows) work array: the row chunk of a traversal is
@@ -190,52 +201,48 @@ def _read_trees(docs: list, n_features: int) -> list:
 _CHUNK_ELEMENTS = 1 << 17
 
 
-# A single leaf of value 0.0 pads short groups at their end: adding 0.0
-# leaves a sum unchanged.
-_ZERO_TREE = Tree(
-    feature=np.array([-1], dtype=np.int32),
-    threshold=np.zeros(1),
-    left=np.array([-1], dtype=np.int32),
-    right=np.array([-1], dtype=np.int32),
-    value=np.zeros(1),
-)
-
-
 class _PackedForest:
-    """Groups of trees in flat node arrays, walked in one fixed-depth pass.
+    """Forests in one set of flat node arrays, walked in one fixed-depth pass.
 
-    Leaves route to themselves (left = right = self, feature 0), so after
-    ``depth`` steps every row sits at its leaf in every tree, with no test
-    for rows still moving. Short groups are padded at their end with zero
-    trees, so the leaves of a chunk form one (groups, trees, rows) block.
+    The forests, at least one tree among them, are concatenated node by
+    node, each child index shifted by its tree's first node, and one zero
+    leaf is added at the end. Leaves route to themselves (left = right =
+    self, feature 0, whatever the threshold), so after ``depth`` steps every
+    row sits at its leaf in every tree, with no test for rows still moving.
+    The trees form one group per (forest, class), each in round order; the
+    zero leaf pads short groups at their end, so the leaves of a chunk form
+    one (groups, trees, rows) block, and its 0.0 leaves a group's sum as is.
     """
 
-    def __init__(self, groups):
-        self.n_groups = len(groups)
-        self.group_size = max((len(g) for g in groups), default=0)
-        trees = [
-            t for g in groups for t in [*g, *[_ZERO_TREE] * (self.group_size - len(g))]
-        ]
-        sizes = [len(t.feature) for t in trees]
-        self.roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
-        self.depth = 0
-        if not trees:
-            return
-        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
-        leaf = feature < 0
-        node = np.arange(len(feature))
-        left = np.concatenate([t.left + r for t, r in zip(trees, self.roots)]).astype(np.intp)
-        right = np.concatenate([t.right + r for t, r in zip(trees, self.roots)]).astype(np.intp)
-        self.left = np.where(leaf, node, left)
-        self.right = np.where(leaf, node, right)
-        self.feature = np.where(leaf, 0, feature)
-        self.threshold = np.where(leaf, 0.0, np.concatenate([t.threshold for t in trees]))
-        self.value = np.concatenate([t.value for t in trees])
+    def __init__(self, forests: list, width: int):
+        self.n_groups = len(forests) * width
+        shift = np.cumsum([0, *(f.offsets[-1] for f in forests)], dtype=np.intp)
+        starts = np.concatenate([f.offsets[:-1] + s for f, s in zip(forests, shift)])
+        group = np.concatenate([r * width + f.class_k for r, f in enumerate(forests)])
+        counts = np.bincount(group, minlength=self.n_groups)
+        self.group_size = int(counts.max(initial=0))
+        # a stable sort keeps each group's trees in round order
+        order = np.argsort(group, kind="stable")
+        slot = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+        roots = np.full((self.n_groups, self.group_size), shift[-1])
+        roots[group[order], slot] = starts[order]
+        self.roots = roots.ravel()
+        feature, threshold, left, right, value = (
+            np.concatenate([*(getattr(f, key) for f in forests), [zero_leaf]])
+            for key, zero_leaf in zip(_NODE_FIELDS, (-1, 0.0, -1, -1, 0.0))
+        )
+        leaf, node = feature < 0, np.arange(len(feature))
+        first = np.append(starts, shift[-1])  # the zero leaf is a one-node tree
+        base = np.repeat(first, np.diff(first, append=shift[-1] + 1))  # each node's tree start
+        self.left, self.right = (np.where(leaf, node, c + base) for c in (left, right))
+        self.feature = np.where(leaf, 0, feature).astype(np.intp)
+        self.threshold, self.value = threshold, value
         # children follow their parent, so the frontier empties within n_nodes levels
-        frontier = self.roots[~leaf[self.roots]]
+        self.depth = 0
+        frontier = starts[~leaf[starts]]
         while frontier.size:
             self.depth += 1
-            children = np.concatenate([left[frontier], right[frontier]])
+            children = np.concatenate([self.left[frontier], self.right[frontier]])
             frontier = np.unique(children[~leaf[children]])
 
     def sums(self, x: np.ndarray) -> np.ndarray:
@@ -243,8 +250,6 @@ class _PackedForest:
         n, d = x.shape
         n_trees = len(self.roots)
         out = np.zeros((n, self.n_groups))
-        if n_trees == 0:
-            return out
         chunk = max(1, _CHUNK_ELEMENTS // n_trees)
         for start in range(0, n, chunk):
             xc = np.ascontiguousarray(x[start : start + chunk]).ravel()
@@ -264,51 +269,48 @@ class _PackedForest:
 _PACK_LOCK = threading.Lock()
 
 
-def cached_forest(owner, groups) -> _PackedForest:
-    """The forest of ``groups()``, packed on first use and kept on ``owner``.
+def stacked_margins(owner, models: list, x: np.ndarray) -> np.ndarray:
+    """(n, len(models) * width): each model's init margin plus its trees' sums.
 
-    Safe when threads share ``owner``: the pack is built once, under a lock.
+    The models share one loss and feature count. Their init margins and
+    forests are packed on first use and kept on ``owner``; when threads
+    share ``owner``, the pack is built once, under a lock.
     """
-    forest = owner.__dict__.get("_packed")
-    if forest is None:
-        with _PACK_LOCK:
-            forest = owner.__dict__.get("_packed")
-            if forest is None:
-                forest = _PackedForest(groups())
-                owner.__dict__["_packed"] = forest
-    return forest
+    x = np.asarray(x, dtype=np.float64)
+    n_features = models[0].n_features
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise ValueError(f"expected (n, {n_features}) features")
+    with _PACK_LOCK:
+        if "_packed" not in owner.__dict__:
+            width = models[0].loss.margin_width
+            init = [np.zeros(width) if m.init_margin is None else m.init_margin for m in models]
+            trees = [m.trees for m in models]
+            forest = _PackedForest(trees, width) if any(map(len, trees)) else None
+            owner.__dict__["_packed"] = np.concatenate(init), forest
+        init, forest = owner.__dict__["_packed"]
+    out = init + np.zeros((x.shape[0], len(init)))
+    # out is never -0.0, so the zeros of no trees would leave its bits as they are
+    if forest is not None:
+        out += forest.sums(x)
+    return out
 
 
 @dataclass
 class GBTModel:
     loss: LossKind
     n_features: int
-    trees: list
+    trees: Forest
     init_margin: np.ndarray | None  # (W,) constant, or None when trained on an external margin
     learning_rate: float
-
-    def tree_groups(self) -> list:
-        """This model's trees per class, each in round order."""
-        return [
-            [t for t in self.trees if t.class_k == k] for k in range(self.loss.margin_width)
-        ]
 
     def predict_margin(
         self, x: np.ndarray, base_margin: np.ndarray | None = None
     ) -> np.ndarray:
         """Raw margins; an external base margin is added only when supplied."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(f"expected (n, {self.n_features}) features")
-        w = self.loss.margin_width
-        out = np.zeros((x.shape[0], w))
-        if self.init_margin is not None:
-            out += self.init_margin
-        if self.trees:
-            out += cached_forest(self, self.tree_groups).sums(x)
+        out = stacked_margins(self, [self], x)
         if base_margin is not None:
-            out += np.asarray(base_margin, dtype=np.float64).reshape(x.shape[0], w)
-        return out[:, 0] if w == 1 else out
+            out += np.asarray(base_margin, dtype=np.float64).reshape(out.shape)
+        return out[:, 0] if self.loss.margin_width == 1 else out
 
     def predict_proba(
         self, x: np.ndarray, base_margin: np.ndarray | None = None
@@ -323,7 +325,7 @@ class GBTModel:
             "n_features": self.n_features,
             "learning_rate": self.learning_rate,
             "init_margin": None if self.init_margin is None else self.init_margin.tolist(),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees.to_dicts(),
         }
 
     @classmethod
@@ -336,13 +338,10 @@ class GBTModel:
             init = np.asarray(init, dtype=np.float64)
             if init.shape != (width,):
                 raise ValueError(f"init_margin must hold {width} values")
-        trees = _read_trees(d["trees"], n_features)
-        if any(not 0 <= t.class_k < width for t in trees):
-            raise ValueError(f"tree class_k outside [0, {width})")
         return cls(
             loss=loss,
             n_features=n_features,
-            trees=trees,
+            trees=_read_trees(d["trees"], n_features, width),
             init_margin=init,
             learning_rate=float(d["learning_rate"]),
         )
@@ -412,8 +411,9 @@ class _TreeGrower:
         self.flat += (np.arange(codes.shape[1]) * self.max_bins)[:, None]
 
     def grow(self, g, h, rows, oob, cols):
-        """A tree fitted on in-bag ``rows`` over ``cols``: its node arrays,
-        then its value at each of the n rows, ``rows`` and ``oob`` alike.
+        """A tree fitted on in-bag ``rows`` over ``cols``: its nodes' feature,
+        threshold, left, right and value tuples, then its value at each of
+        the n rows, ``rows`` and ``oob`` alike.
         """
         cfg = self.cfg
         nb = self.max_bins
@@ -457,9 +457,7 @@ class _TreeGrower:
                         hist_l = hist - hist_r
                 stack.append((rows_r, oob[~oob_left], gs - gl, hs - hl, hist_r, depth + 1, node))
                 stack.append((rows_l, oob[oob_left], gl, hl, hist_l, depth + 1, None))
-        feat, thr, left, right, value = (np.asarray(v) for v in zip(*nodes))
-        i32 = np.int32
-        return feat.astype(i32), thr, left.astype(i32), right.astype(i32), value, fitted
+        return (*zip(*nodes), fitted)
 
     def _best_split(self, hist, gs, hs, n_rows):
         """The best split as (column position, bin, left g sum, left h sum), or None."""
@@ -538,7 +536,7 @@ def fit_gbt(
 
     rng = make_rng(cfg.seed)
     grower = _TreeGrower(codes, edges, cfg)
-    trees: list[Tree] = []
+    trees = []
     n_sub = max(1, int(round(cfg.subsample * n)))
     n_cols = max(1, int(round(cfg.colsample_bytree * d)))
 
@@ -557,14 +555,14 @@ def fit_gbt(
                 cols = np.sort(rng.permutation(d)[:n_cols])
             else:
                 cols = np.arange(d)
-            *arrays, fitted = grower.grow(g[:, k], h[:, k], rows, oob, cols)
-            trees.append(Tree(*arrays, class_k=k))
+            *tree, fitted = grower.grow(g[:, k], h[:, k], rows, oob, cols)
+            trees.append(tree)
             margin[:, k] += fitted
 
     return GBTModel(
         loss=loss,
         n_features=d,
-        trees=trees,
+        trees=Forest.join(trees, np.tile(np.arange(width), cfg.n_estimators)),
         init_margin=init,
         learning_rate=cfg.learning_rate,
     )

@@ -6,11 +6,12 @@ solves its normal equations by Cholesky. Logistic and softmax fits, and
 the shared-softmax stacking of ``mr``, all run the one ``newton`` loop:
 each iteration adds ``JITTER`` to the Hessian diagonal, solves for the
 step by LU (``np.linalg.solve``; the softmax intercepts leave the Hessian
-singular, which Cholesky rejects) and halves the step up to
-``MAX_HALVINGS`` times until the objective does not rise. It stops when
-the gradient norm is at most ``GRAD_TOL`` (converged), after
-``MAX_NEWTON_ITER`` iterations, or when no halving helps; the last two
-warn that the solve did not converge.
+singular, which Cholesky rejects), takes the least-squares step instead
+when LU finds the Hessian exactly singular (duplicated columns), and
+halves the step up to ``MAX_HALVINGS`` times until the objective does not
+rise. It stops when the gradient norm is at most ``GRAD_TOL`` (converged),
+after ``MAX_NEWTON_ITER`` iterations, or when no halving helps; the last
+two warn that the solve did not converge.
 """
 
 import warnings
@@ -106,7 +107,10 @@ def newton(objective, grad_hess, theta0: np.ndarray):
         if grad_norm <= GRAD_TOL:
             return theta, True
         hess[np.diag_indices_from(hess)] += JITTER
-        step = np.linalg.solve(hess, grad)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             cand = theta - scale * step

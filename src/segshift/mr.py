@@ -35,7 +35,7 @@ from .learners import (
     losses,
     refine_config,
 )
-from .learners.gbt import cached_forest
+from .learners.gbt import stacked_margins
 from .learners.linear import newton
 from .segmentation import (
     ClusterAssignment,
@@ -64,6 +64,16 @@ def task_loss(task: TaskKind) -> LossKind:
     if task.kind == "binary":
         return LOGISTIC
     return losses.softmax_loss(task.n_classes)
+
+
+def _check_model(model: GBTModel, loss: LossKind, n_features: int, role: str) -> GBTModel:
+    """``model``, once its loss and feature count are the ones its file's task needs."""
+    if model.loss != loss or model.n_features != n_features:
+        raise ValueError(
+            f"{role} has loss {model.loss.name}/{model.loss.n_classes} on {model.n_features} "
+            f"features; the model's task needs {loss.name}/{loss.n_classes} on {n_features}"
+        )
+    return model
 
 
 def segment_onehot(segment_id: np.ndarray, n_segments: int) -> np.ndarray:
@@ -159,17 +169,9 @@ class BaseEnsemble:
         """
         if not all(isinstance(m, GBTModel) for m in self.models):
             return np.stack([m.predict_margin(x) for m in self.models], axis=1)
-        x = np.asarray(x, dtype=np.float64)
-        n_features = self.models[0].n_features
-        if x.ndim != 2 or x.shape[1] != n_features:
-            raise ValueError(f"expected (n, {n_features}) features")
+        out = stacked_margins(self, self.models, x)
         w = self.loss.margin_width
-        init = [np.zeros(w) if m.init_margin is None else m.init_margin for m in self.models]
-        out = np.zeros((x.shape[0], self.n_models * w))
-        out += np.concatenate(init)
-        forest = cached_forest(self, lambda: [g for m in self.models for g in m.tree_groups()])
-        out += forest.sums(x)
-        return out if w == 1 else out.reshape(x.shape[0], self.n_models, w)
+        return out if w == 1 else out.reshape(len(out), self.n_models, w)
 
     def to_dict(self) -> dict:
         return {
@@ -434,12 +436,20 @@ class DRModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DRModel":
+        task = TaskKind(d["task"]["kind"], d["task"]["n_classes"])
+        with_segment_features = d["kind"] == "dr-sf"
+        n_segments = int(d["n_segments"])
+        n_features = len(d["feature_names"]) + (n_segments if with_segment_features else 0)
+        base, refiner = (
+            _check_model(GBTModel.from_dict(d[role]), task_loss(task), n_features, role)
+            for role in ("base", "refiner")
+        )
         return cls(
-            task=TaskKind(d["task"]["kind"], d["task"]["n_classes"]),
-            base=GBTModel.from_dict(d["base"]),
-            refiner=GBTModel.from_dict(d["refiner"]),
-            with_segment_features=d["kind"] == "dr-sf",
-            n_segments=int(d["n_segments"]),
+            task=task,
+            base=base,
+            refiner=refiner,
+            with_segment_features=with_segment_features,
+            n_segments=n_segments,
             segment_names=tuple(d["segment_names"]),
             feature_names=tuple(d["feature_names"]),
         )
@@ -618,17 +628,23 @@ class MRModel:
     def from_dict(cls, d: dict) -> "MRModel":
         task = TaskKind(d["task"]["kind"], d["task"]["n_classes"])
         loss = task_loss(task)
+        n_features = len(d["feature_names"])
+        ensemble = BaseEnsemble.from_dict(d["ensemble"], loss)
+        for i, m in enumerate(ensemble.models):
+            _check_model(m, loss, n_features, f"base model {i}")
         segments = {
             int(s): SegmentModel(
                 stage1=Stage1Model.from_dict(m["stage1"]),
-                refiner=GBTModel.from_dict(m["refiner"]),
+                refiner=_check_model(
+                    GBTModel.from_dict(m["refiner"]), loss, n_features, f"segment {s} refiner"
+                ),
                 weight_summary=m["weight_summary"],
             )
             for s, m in d["segments"].items()
         }
         return cls(
             task=task,
-            ensemble=BaseEnsemble.from_dict(d["ensemble"], loss),
+            ensemble=ensemble,
             segments=segments,
             segment_names=tuple(d["segment_names"]),
             feature_names=tuple(d["feature_names"]),

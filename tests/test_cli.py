@@ -367,6 +367,64 @@ def test_predict_malformed_tree_exit_2(tmp_path, capsys, root, message):
     assert str(bad) in err and message in err
 
 
+def _binarize(tmp_path):
+    """Relabel the simulated CSVs for a binary task: y > the train median."""
+    lines = {name: (tmp_path / name).read_text().splitlines() for name in ("train.csv", "test.csv")}
+    cut = np.median([float(line.split(",")[-2]) for line in lines["train.csv"][1:]])
+    for name, (header, *rows) in lines.items():
+        cells = [line.split(",") for line in rows]
+        rows = [",".join([*c[:-2], str(int(float(c[-2]) > cut)), c[-1]]) for c in cells]
+        (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
+
+
+def _class_k_half(doc):
+    doc["ensemble"]["models"][0]["trees"][0]["class_k"] = 0.5
+
+
+def _relabel_softmax(doc):
+    model = doc["ensemble"]["models"][0]
+    model.update(loss="softmax", n_classes=3, init_margin=model["init_margin"] * 3)
+
+
+def _all_segments_wide(doc):
+    doc["ensemble"]["models"][-1]["n_features"] = 99
+
+
+def _refiner_logistic(doc):
+    refiner = next(iter(doc["segments"].values()))["refiner"]
+    refiner.update(loss="logistic", n_classes=0)
+
+
+@pytest.mark.parametrize(
+    "task, corrupt, message",
+    [
+        ("regression", _class_k_half, "'class_k' values are not all integers"),
+        ("binary", _relabel_softmax, "base model 0 has loss softmax/3"),
+        ("regression", _all_segments_wide, "on 99 features"),
+        ("regression", _refiner_logistic, "refiner has loss logistic"),
+    ],
+    ids=["fractional-class-k", "softmax-base-in-binary", "wide-all-segments", "logistic-refiner"],
+)
+def test_predict_model_disagreeing_with_task_exit_2(tmp_path, capsys, task, corrupt, message):
+    run(simulate_args(tmp_path))
+    if task == "binary":
+        _binarize(tmp_path)
+    assert run(fit_args(tmp_path, extra=("--task", task))) == 0
+    doc = json.loads((tmp_path / "model.json").read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run([
+        "predict",
+        "--model", str(bad),
+        "--data", str(tmp_path / "test.csv"),
+        "--out", str(tmp_path / "preds.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
 def test_evaluate_baseline_feature_mismatch_exit_2(tmp_path, capsys):
     run(simulate_args(tmp_path))
     run(fit_args(tmp_path))

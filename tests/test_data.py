@@ -17,7 +17,16 @@ from segshift import (
     split_base_tune,
     write_csv,
 )
-from segshift.data import decode_onehot_categories
+
+
+def decode_onehot_categories(feature_names) -> dict:
+    """Recover ``column -> set of categories`` from one-hot column names."""
+    out: dict[str, set] = {}
+    for name in feature_names:
+        if "=" in name:
+            col, cat = name.split("=", 1)
+            out.setdefault(col, set()).add(cat)
+    return out
 
 
 def make_dataset(n, n_segments=1, seed=0, group_size=None):

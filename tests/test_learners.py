@@ -5,9 +5,9 @@ import pytest
 from scipy.optimize import minimize
 
 from segshift import GBTConfig, LossKind, fit_gbt, fit_linear
-from segshift.learners import losses, predict_margin
-from segshift.learners.gbt import GBTModel, Tree
-from segshift.learners.linear import MAX_NEWTON_ITER, LinearModel, newton
+from segshift.learners import losses
+from segshift.learners.gbt import Forest, GBTModel
+from segshift.learners.linear import MAX_NEWTON_ITER, newton
 
 SQ = LossKind("squared")
 LOG = LossKind("logistic")
@@ -208,6 +208,20 @@ def test_newton_converges_on_a_quadratic_without_warning(recwarn):
     assert not [w for w in recwarn if "Newton" in str(w.message)]
 
 
+@pytest.mark.parametrize("scale", [100, 1000])
+def test_logistic_duplicated_column_converges(scale, recwarn):
+    # equal columns leave the l2 = 0 Hessian exactly singular: LU fails and
+    # the least-squares step takes over
+    rng = np.random.default_rng(0)
+    x0 = scale * rng.normal(size=1000)
+    y = (x0 / scale + rng.normal(size=1000) > 0).astype(float)
+    both = fit_linear(np.column_stack([x0, x0]), y, LOG)
+    one = fit_linear(x0[:, None], y, LOG)
+    assert not [w for w in recwarn if "Newton" in str(w.message)]
+    np.testing.assert_allclose(both.coef.sum(), one.coef[0], rtol=1e-9)
+    np.testing.assert_allclose(both.intercept, one.intercept, rtol=1e-9, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # fit_gbt
 
@@ -237,7 +251,8 @@ def test_single_stump_closed_form():
     init = y.mean()
     # manual: g_i = init - y_i, h_i = 1; leaf value = -(init - y_i) = y_i - init
     np.testing.assert_allclose(model.predict_margin(x), y, atol=1e-12)
-    leaf_values = sorted(model.trees[0].value[model.trees[0].feature < 0])
+    assert len(model.trees) == 1
+    leaf_values = sorted(model.trees.value[model.trees.feature < 0])
     np.testing.assert_allclose(leaf_values, sorted(y - init), atol=1e-12)
 
 
@@ -283,14 +298,11 @@ def round_losses(model, x, y, w, loss, base=None):
     else:
         margin = np.tile(model.init_margin, (len(y), 1))
     out = []
-    per_round = [
-        model.trees[i : i + width] for i in range(0, len(model.trees), width)
-    ]
     m = margin[:, 0] if width == 1 else margin
     out.append(np.average(losses.loss_values(loss, y, m), weights=w))
-    for group in per_round:
-        for tree in group:
-            margin[:, tree.class_k] += walk(tree, x)
+    for r in range(len(model.trees) // width):
+        for i in range(r * width, (r + 1) * width):
+            margin[:, model.trees.class_k[i]] += walk(tree(model.trees, i), x)
         m = margin[:, 0] if width == 1 else margin
         out.append(np.average(losses.loss_values(loss, y, m), weights=w))
     return np.asarray(out)
@@ -339,19 +351,22 @@ def test_serialization_roundtrip_predictions():
     np.testing.assert_array_equal(model.predict_margin(x), back.predict_margin(x))
 
 
+@pytest.mark.parametrize("loss", [SQ, LOG, SOFT])
+def test_serialization_roundtrip_bytes(loss):
+    x, y, w = grower_data(loss)
+    model = fit_gbt(x, y, loss, GROWER_CFG, sample_weight=w)
+    text = json.dumps(model.to_dict())
+    assert json.dumps(GBTModel.from_dict(json.loads(text)).to_dict()) == text
+
+
 def test_two_stump_manual_walk():
-    stump = lambda thr, lo, hi, k=0: Tree(
-        feature=np.array([0, -1, -1], dtype=np.int32),
-        threshold=np.array([thr, 0.0, 0.0]),
-        left=np.array([1, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1], dtype=np.int32),
-        value=np.array([0.0, lo, hi]),
-        class_k=k,
-    )
+    def stump(thr, lo, hi):
+        return [0, -1, -1], [thr, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, lo, hi]
+
     model = GBTModel(
         loss=SQ,
         n_features=1,
-        trees=[stump(0.5, 1.0, 10.0), stump(2.0, -3.0, 7.0)],
+        trees=Forest.join([stump(0.5, 1.0, 10.0), stump(2.0, -3.0, 7.0)], [0, 0]),
         init_margin=np.array([100.0]),
         learning_rate=1.0,
     )
@@ -389,14 +404,6 @@ def test_non_finite_margin_rejected():
         fit_gbt(x, y, SQ, GBTConfig(n_estimators=1), base_margin=np.array([np.inf, 0, 0, 0]))
 
 
-def test_predict_margin_polymorphic():
-    lin = LinearModel(
-        coef=np.array([1.0, 0.0]), intercept=np.asarray(1.0), loss=SQ, l2=0.0
-    )
-    out = predict_margin(lin, np.array([[2.0, 5.0]]))
-    assert out[0] == 3.0
-
-
 def test_gbt_config_validation():
     with pytest.raises(ValueError):
         GBTConfig(n_estimators=-1)
@@ -414,8 +421,9 @@ def test_gbt_config_validation():
 # packed forest traversal against the node-by-node walk
 
 
-def random_tree(rng, n_features, max_depth, class_k=0, split_p=0.7, x=None):
-    """A random tree in pre-order; splits stop at random, so depths vary."""
+def random_tree(rng, n_features, max_depth, split_p=0.7, x=None):
+    """A random tree's (feature, threshold, left, right, value) lists in
+    pre-order; splits stop at random, so depths vary."""
     feat, thr, left, right, value = [], [], [], [], []
 
     def build(depth):
@@ -437,28 +445,32 @@ def random_tree(rng, n_features, max_depth, class_k=0, split_p=0.7, x=None):
         return idx
 
     build(0)
-    return Tree(
-        feature=np.asarray(feat, dtype=np.int32),
-        threshold=np.asarray(thr),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value),
-        class_k=class_k,
-    )
+    return feat, thr, left, right, value
+
+
+def tree(forest, i):
+    """Tree ``i`` of a forest record: its (feature, threshold, left, right, value) slices."""
+    nodes = slice(forest.offsets[i], forest.offsets[i + 1])
+    fields = (forest.feature, forest.threshold, forest.left, forest.right, forest.value)
+    return tuple(a[nodes] for a in fields)
 
 
 def walk(tree, x):
-    """One tree's leaf value at each row of ``x``, found node by node."""
+    """One tree's leaf value at each row of ``x``, found node by node.
+
+    ``tree`` is (feature, threshold, left, right, value), children local.
+    """
+    feature, threshold, left, right, value = tree
     out = np.empty(x.shape[0])
     stack = [(0, np.arange(x.shape[0]))]
     while stack:
         node, rows = stack.pop()
-        if tree.feature[node] < 0:
-            out[rows] = tree.value[node]
+        if feature[node] < 0:
+            out[rows] = value[node]
             continue
-        go_left = x[rows, tree.feature[node]] < tree.threshold[node]
-        stack.append((tree.left[node], rows[go_left]))
-        stack.append((tree.right[node], rows[~go_left]))
+        go_left = x[rows, feature[node]] < threshold[node]
+        stack.append((left[node], rows[go_left]))
+        stack.append((right[node], rows[~go_left]))
     return out
 
 
@@ -469,7 +481,7 @@ def walk_oracle(model, x):
     if model.init_margin is not None:
         out += model.init_margin
     for k in range(w):
-        trees = [t for t in model.trees if t.class_k == k]
+        trees = [tree(model.trees, i) for i in np.flatnonzero(model.trees.class_k == k)]
         if trees:
             acc = walk(trees[0], x)
             for t in trees[1:]:
@@ -497,7 +509,7 @@ def test_packed_walk_matches_tree_apply(monkeypatch, loss, max_depth, uneven, n_
     # softmax rounds interleave classes: k = 0, 1, 2, 0, 1, 2, ...; uneven
     # forests give each class its own tree count, one class none at all
     classes = rng.choice(w - 1, size=20 * w) if uneven else np.arange(24 * w) % w
-    trees = [random_tree(rng, d, max_depth, class_k=int(k), x=pool) for k in classes]
+    trees = Forest.join([random_tree(rng, d, max_depth, x=pool) for _ in classes], classes)
     init = None if loss.name == "logistic" else rng.normal(size=w)
     model = GBTModel(loss=loss, n_features=d, trees=trees, init_margin=init, learning_rate=0.1)
     got = model.predict_margin(x)
@@ -556,10 +568,10 @@ def test_ensemble_pack_built_once_under_threads(monkeypatch):
     builds = []
 
     class CountingForest(gbt._PackedForest):
-        def __init__(self, groups):
+        def __init__(self, forests, width):
             builds.append(1)
             time.sleep(0.05)  # hold the build open so that racing threads overlap it
-            super().__init__(groups)
+            super().__init__(forests, width)
 
     monkeypatch.setattr(gbt, "_PackedForest", CountingForest)
     n_threads = 8
@@ -622,9 +634,10 @@ def test_gbt_from_dict_rejects_bad_tree_links(node0, match):
 def test_gbt_from_dict_rejects_bad_class_and_init():
     model = fit_gbt(np.arange(20.0).reshape(-1, 1), np.arange(20.0), SQ, GBTConfig(n_estimators=2))
     doc = model.to_dict()
-    doc["trees"][1]["class_k"] = 1
-    with pytest.raises(ValueError, match="class_k"):
-        GBTModel.from_dict(doc)
+    for bad in (1, -1, 0.5):
+        doc["trees"][1]["class_k"] = bad
+        with pytest.raises(ValueError, match="class_k"):
+            GBTModel.from_dict(doc)
     doc = model.to_dict()
     doc["init_margin"] = [0.0, 1.0]
     with pytest.raises(ValueError, match="init_margin"):
@@ -765,5 +778,5 @@ def test_training_margin_equals_walk_of_fitted_trees(monkeypatch, loss):
     margin = np.tile(model.init_margin, (len(y), 1))
     for r, got in enumerate(seen):
         np.testing.assert_array_equal(got, margin[:, 0] if width == 1 else margin)
-        for tree in model.trees[r * width : (r + 1) * width]:
-            margin[:, tree.class_k] += walk(tree, xc)
+        for i in range(r * width, (r + 1) * width):
+            margin[:, model.trees.class_k[i]] += walk(tree(model.trees, i), xc)

@@ -350,11 +350,13 @@ def test_mr_deterministic_serialization():
 def test_mr_serialization_roundtrip():
     train, test = small_sim(seed=6)
     model = fit_mr(train, (test.features, test.segment_id), quick_config(seed=2))
-    back = MRModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    text = json.dumps(model.to_dict())
+    back = MRModel.from_dict(json.loads(text))
     np.testing.assert_array_equal(
         model.predict(test.features, test.segment_id),
         back.predict(test.features, test.segment_id),
     )
+    assert json.dumps(back.to_dict()) == text
 
 
 def test_mr_unknown_segment_uses_all_segments_model():
@@ -583,6 +585,11 @@ def test_dr_serialization_roundtrip():
         dr.predict(test.features, test.segment_id),
         back.predict(test.features, test.segment_id),
     )
+    doc = dr.to_dict()
+    wide = train.d + train.n_segments + 1
+    doc["refiner"]["n_features"] = wide
+    with pytest.raises(ValueError, match=f"refiner has loss squared/0 on {wide} features"):
+        DRModel.from_dict(doc)
 
 
 def _multiclass_model():

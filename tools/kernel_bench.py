@@ -7,9 +7,9 @@ data:
   columns with 256 bins, for n in {1000, 8000} and d in {4, 5};
 - ``best_split``: one split search (``_TreeGrower._best_split``) on that
   histogram;
-- ``forest_sums``: one traversal (``_PackedForest.sums``) of a 200-tree,
-  depth-3 squared-loss model fitted on 8000 rows of d columns, for 1 row
-  and for 4000 rows.
+- ``forest_sums``: one traversal (``_PackedForest.sums``) of the pack of a
+  200-tree, depth-3 squared-loss model's forest record (``GBTModel.trees``)
+  fitted on 8000 rows of d columns, for 1 row and for 4000 rows.
 
 Each figure is the per-call time in microseconds: the median and the
 minimum over 7 repeats of a loop that runs for at least 0.1 s. Run from
@@ -34,6 +34,7 @@ from segshift.learners import LossKind, fit_gbt  # noqa: E402
 from segshift.learners.gbt import (  # noqa: E402
     _bin_features,
     _histogram,
+    _PackedForest,
     _TreeGrower,
     cluster_base_config,
 )
@@ -84,8 +85,7 @@ def node_kernels(n, d):
 def forest_kernels(d):
     x, y = data(8000, d)
     model = fit_gbt(x, y, LossKind("squared"), cluster_base_config(seed=2))
-    model.predict_margin(x[:1])  # packs the forest
-    forest = model._packed
+    forest = _PackedForest([model.trees], model.loss.margin_width)
     xt = np.random.default_rng(3).normal(size=(4000, d))
     shape = {"trees": len(model.trees), "depth": forest.depth, "d": d}
     return [
