@@ -151,10 +151,12 @@ def _index_field(items: list, key: str, what: str = "tree node") -> np.ndarray:
     """One int32 index field of every item, rejecting non-integers.
 
     The field is read with the dtype JSON gave it, so that ``1.5`` is
-    rejected rather than truncated to ``1``, and must fit int32.
+    rejected rather than truncated to ``1``, and must fit int32. A JSON
+    boolean is not an integer, though numpy reads one among ints as 0 or 1.
     """
-    raw = np.array([n[key] for n in items])
-    if raw.dtype.kind not in "iu":
+    values = [n[key] for n in items]
+    raw = np.array(values)
+    if raw.dtype.kind not in "iu" or bool in set(map(type, values)):
         raise ValueError(f"{what} {key!r} values are not all integers")
     out = raw.astype(np.int32)
     if np.any(out != raw):
@@ -184,6 +186,8 @@ def _read_trees(docs: list, n_features: int, width: int) -> Forest:
     threshold, value = (
         np.array([n[key] for n in nodes], dtype=np.float64) for key in ("threshold", "value")
     )
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise ValueError("tree node threshold or value is not finite")
     offsets = np.append(0, sizes.cumsum())
     internal = feature != -1
     node = (np.arange(len(feature)) - np.repeat(offsets[:-1], sizes))[internal]
@@ -338,6 +342,8 @@ class GBTModel:
             init = np.asarray(init, dtype=np.float64)
             if init.shape != (width,):
                 raise ValueError(f"init_margin must hold {width} values")
+            if not np.isfinite(init).all():
+                raise ValueError("init_margin is not finite")
         return cls(
             loss=loss,
             n_features=n_features,

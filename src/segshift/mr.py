@@ -56,6 +56,9 @@ from .weights import (
 
 LAMBDA_MIN = 1e-8
 BALL_TOL = 1e-3
+# KMM builds an n x n float64 Gram over a segment's rows: 800 MB at this many
+# rows, 3.2 GB at twice as many. A larger segment fails before the Gram.
+KMM_MAX_ROWS = 10_000
 
 
 def task_loss(task: TaskKind) -> LossKind:
@@ -278,6 +281,19 @@ class Stage1Model:
         )
 
 
+def _check_stage1(stage1: Stage1Model, n_models: int, loss: LossKind, role: str) -> Stage1Model:
+    """``stage1``, once it has one finite weight per base model and a finite intercept per class."""
+    intercept_shape = () if loss.margin_width == 1 else (loss.margin_width,)
+    if stage1.beta.shape != (n_models,) or stage1.intercept.shape != intercept_shape:
+        raise ValueError(
+            f"{role} stage 1 has beta shape {stage1.beta.shape} and intercept shape "
+            f"{stage1.intercept.shape}; the model needs {(n_models,)} and {intercept_shape}"
+        )
+    if not (np.isfinite(stage1.beta).all() and np.isfinite(stage1.intercept).all()):
+        raise ValueError(f"{role} stage 1 beta or intercept is not finite")
+    return stage1
+
+
 def _solve_shared_softmax(h, y, loss, l2, fit_intercept):
     """Newton fit of margins z_ik = sum_m beta_m h_imk + c_k with L2 on beta."""
     n, n_models, k = h.shape
@@ -487,6 +503,11 @@ def _segment_weights(
             eval_x=train.features[eval_rows],
         )
     if method == "kmm":
+        if len(eval_rows) > KMM_MAX_ROWS:
+            raise DataError(
+                f"segment {seg_name!r} has {len(eval_rows)} rows, over the "
+                f"{KMM_MAX_ROWS}-row limit of KMM weights (their Gram is rows x rows)"
+            )
         kernel = KernelSpec(config.bandwidth)
         return fit_kmm(
             train.features[eval_rows], test_x[test_rows], kernel=kernel, eta=config.eta
@@ -634,7 +655,9 @@ class MRModel:
             _check_model(m, loss, n_features, f"base model {i}")
         segments = {
             int(s): SegmentModel(
-                stage1=Stage1Model.from_dict(m["stage1"]),
+                stage1=_check_stage1(
+                    Stage1Model.from_dict(m["stage1"]), ensemble.n_models, loss, f"segment {s}"
+                ),
                 refiner=_check_model(
                     GBTModel.from_dict(m["refiner"]), loss, n_features, f"segment {s} refiner"
                 ),

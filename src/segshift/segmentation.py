@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from ._seeds import make_rng
 from .data import Dataset
@@ -61,8 +61,7 @@ def median_bandwidth(x: np.ndarray, seed: int = 0) -> float:
     if x.shape[0] > 1000:
         rows = np.sort(make_rng(seed, "bandwidth").permutation(x.shape[0])[:1000])
         x = x[rows]
-    d = cdist(x, x)
-    med = float(np.median(d[np.triu_indices(x.shape[0], k=1)]))
+    med = float(np.median(pdist(x)))
     return med if med > 0 else 1.0
 
 

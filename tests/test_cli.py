@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from segshift import MRModel
+from segshift import MRModel, mr
 from segshift.cli import main
 
 
@@ -349,8 +350,10 @@ def _corrupt_first_tree(tmp_path, **root):
         (dict(left=0, right=0), "child index"),
         (dict(left=10**6), "child index"),
         (dict(left=1.5), "not all integers"),
+        (dict(left=True), "not all integers"),
+        (dict(threshold=float("inf")), "threshold or value is not finite"),
     ],
-    ids=["cyclic", "child-out-of-range", "non-integer-child"],
+    ids=["cyclic", "child-out-of-range", "non-integer-child", "boolean-child", "infinite-threshold"],
 )
 def test_predict_malformed_tree_exit_2(tmp_path, capsys, root, message):
     run(simulate_args(tmp_path))
@@ -423,6 +426,55 @@ def test_predict_model_disagreeing_with_task_exit_2(tmp_path, capsys, task, corr
     assert code == 2
     err = capsys.readouterr().err
     assert str(bad) in err and message in err
+
+
+def _nan_leaf(doc):
+    nodes = doc["ensemble"]["models"][0]["trees"][0]["nodes"]
+    next(n for n in nodes if n["feature"] == -1)["value"] = float("nan")
+
+
+def _infinite_init_margin(doc):
+    doc["ensemble"]["models"][0]["init_margin"] = [float("inf")]
+
+
+def _short_stage1_beta(doc):
+    next(iter(doc["segments"].values()))["stage1"]["beta"].pop()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_nan_leaf, "threshold or value is not finite"),
+        (_infinite_init_margin, "init_margin is not finite"),
+        (_short_stage1_beta, "stage 1 has beta shape"),
+    ],
+    ids=["nan-leaf", "infinite-init-margin", "short-stage1-beta"],
+)
+def test_predict_model_with_bad_numbers_exit_2(tmp_path, capsys, corrupt, message):
+    # JSON's NaN and Infinity parse, and a short beta only fails at predict time
+    run(simulate_args(tmp_path))
+    assert run(fit_args(tmp_path)) == 0
+    doc = json.loads((tmp_path / "model.json").read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run([
+        "predict",
+        "--model", str(bad),
+        "--data", str(tmp_path / "test.csv"),
+        "--out", str(tmp_path / "preds.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
+def test_fit_kmm_segment_over_the_row_cap_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mr, "KMM_MAX_ROWS", 10)
+    run(simulate_args(tmp_path))
+    assert run(fit_args(tmp_path, extra=("--weight-method", "kmm"))) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"segment '\d' has \d+ rows, over the 10-row limit of KMM weights", err)
 
 
 def test_evaluate_baseline_feature_mismatch_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize, stats
 
 from segshift import (
     KernelSpec,
@@ -10,8 +11,15 @@ from segshift import (
     expand_class_weights,
     uniform_weights,
 )
+from segshift import weights
 from segshift.segmentation import gram
-from segshift.weights import ClassWeightVector, WeightVector, _finalize, _kmm_solve
+from segshift.weights import (
+    ClassWeightVector,
+    WeightVector,
+    _finalize,
+    _kmm_project,
+    _kmm_solve,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +174,13 @@ def test_kmm_objective_monotone():
     assert np.all(diffs <= 1e-12)
 
 
-def test_kmm_warns_when_the_iteration_cap_ends_the_solve():
+def test_kmm_warns_when_the_iteration_cap_ends_the_solve(monkeypatch):
+    # the solver converges well inside its real cap, so the cap is lowered
+    monkeypatch.setattr(weights, "KMM_MAX_ITER", 3)
     rng = np.random.default_rng(0)
     train = rng.normal(0, 1, size=(40, 2))
     test = rng.normal(2, 1, size=(40, 2))
-    with pytest.warns(UserWarning, match="KMM solve stopped at its 500-iteration cap"):
+    with pytest.warns(UserWarning, match="KMM solve stopped at its 3-iteration cap"):
         fit_kmm(train, test, kernel=KernelSpec(1.0))
 
 
@@ -186,6 +196,90 @@ def test_kmm_rejects_non_finite_gram():
     test = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError, match="Gram"):
         fit_kmm(train, test, kernel=KernelSpec(1.0))
+
+
+def _bisection_projection(v, eta, lo, hi):
+    """Projection onto the box and sum band by bisecting the shift tau."""
+    w = np.clip(v, 0.0, eta)
+    if lo <= w.sum() <= hi:
+        return w
+    target = lo if w.sum() < lo else hi
+    a, b = v.min() - eta, v.max()  # sums n * eta and 0
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if np.clip(v - mid, 0.0, eta).sum() > target:
+            a = mid
+        else:
+            b = mid
+    return np.clip(v - 0.5 * (a + b), 0.0, eta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=40),
+    eta=st.floats(1.0, 10.0),
+    eps=st.floats(0.0, 0.99),
+)
+def test_kmm_projection_is_the_euclidean_projection(v, eta, eps):
+    v = np.asarray(v)
+    n = len(v)
+    lo, hi = n * (1.0 - eps), n * (1.0 + eps)
+    w = _kmm_project(v, eta, lo, hi)
+    assert w.min() >= 0.0 and w.max() <= eta
+    assert lo - 1e-9 <= w.sum() <= hi + 1e-9
+    assert np.max(np.abs(_kmm_project(w, eta, lo, hi) - w)) <= 1e-12
+    assert np.max(np.abs(w - _bisection_projection(v, eta, lo, hi))) <= 1e-12
+
+
+def test_kmm_projection_hits_each_violated_bound():
+    v = np.array([-1.0, 0.5, 2.0, 12.0])
+    # clip gives [0, 0.5, 2, 3] (sum 5.5): above hi = 4 the sum lands on hi
+    assert np.isclose(_kmm_project(v, 3.0, 3.0, 4.0).sum(), 4.0, rtol=0, atol=1e-12)
+    # and below lo = 7 it lands on lo, with entries still in the box
+    w = _kmm_project(v, 3.0, 7.0, 8.0)
+    assert np.isclose(w.sum(), 7.0, rtol=0, atol=1e-12) and w.max() <= 3.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmm_matches_trust_constr_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = 12 + 6 * seed
+    train = rng.normal(0, 1, size=(n, 2))
+    test = rng.normal(0.8, 0.7, size=(25, 2))
+    eta, eps = 4.0, 4.0 / np.sqrt(n)
+    kernel = KernelSpec(1.0)
+    g = gram(kernel, train, train)
+    kappa = (n / len(test)) * gram(kernel, train, test).sum(axis=1)
+
+    def f(w):
+        return float(w @ g @ w - 2 * kappa @ w) / n**2
+
+    oracle = optimize.minimize(
+        f,
+        np.ones(n),
+        jac=lambda w: 2 * (g @ w - kappa) / n**2,
+        hess=lambda w: 2 * g / n**2,
+        method="trust-constr",
+        bounds=optimize.Bounds(0.0, eta),
+        constraints=[optimize.LinearConstraint(np.ones((1, n)), n * (1 - eps), n * (1 + eps))],
+        options={"gtol": 1e-12, "xtol": 1e-12, "maxiter": 5000},
+    )
+    w, history = _kmm_solve(g, kappa, n, eta, eps)
+    assert abs(history[-1] - f(w)) <= 1e-12
+    assert f(w) <= oracle.fun + 1e-7
+    assert np.max(np.abs(w - oracle.x)) <= 0.02
+
+
+def test_kmm_recovers_a_gaussian_density_ratio():
+    # train N(0, 1), test N(0.5, 0.8^2): the ratio p_test / p_train is smooth
+    # and bounded on the train rows that matter
+    rng = np.random.default_rng(3)
+    train = rng.normal(0.0, 1.0, size=(400, 1))
+    test = rng.normal(0.5, 0.8, size=(400, 1))
+    ratio = stats.norm.pdf(train[:, 0], 0.5, 0.8) / stats.norm.pdf(train[:, 0], 0.0, 1.0)
+    wv = fit_kmm(train, test)  # median-heuristic bandwidth
+    assert stats.spearmanr(wv.values, ratio).statistic > 0.95
+    assert np.corrcoef(wv.values, ratio)[0, 1] > 0.95
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Micro-benchmark of the boosted-tree kernels that dominate fitting and predicting.
+"""Micro-benchmark of the kernels that dominate fitting and predicting.
 
-Times three kernels of ``segshift.learners.gbt`` on fixed shapes and seeded
-data:
+Times three kernels of ``segshift.learners.gbt`` and the KMM solver on
+fixed shapes and seeded data:
 
 - ``histogram``: one node histogram (``_histogram``) over all n rows of d
   columns with 256 bins, for n in {1000, 8000} and d in {4, 5};
@@ -9,7 +9,13 @@ data:
   histogram;
 - ``forest_sums``: one traversal (``_PackedForest.sums``) of the pack of a
   200-tree, depth-3 squared-loss model's forest record (``GBTModel.trees``)
-  fitted on 8000 rows of d columns, for 1 row and for 4000 rows.
+  fitted on 8000 rows of d columns, for 1 row and for 4000 rows;
+- ``kmm_solve``: one ``weights._kmm_solve`` on the Gram of n rows drawn from
+  N(0, I_5) against n test rows from N(shift, I_5), with ``fit_kmm``'s
+  defaults (median-heuristic bandwidth, eta = 10, epsilon = eta / sqrt(n)),
+  for n in {300, 750, 1500} and shift in {0.5, 1.0}, with the solve's step
+  count. At shift 0.5 about half the weights are free of the box; at 1.0
+  about 90% sit at zero.
 
 Each figure is the per-call time in microseconds: the median and the
 minimum over 7 repeats of a loop that runs for at least 0.1 s. Run from
@@ -38,6 +44,8 @@ from segshift.learners.gbt import (  # noqa: E402
     _TreeGrower,
     cluster_base_config,
 )
+from segshift.segmentation import KernelSpec, gram  # noqa: E402
+from segshift.weights import DEFAULT_ETA, _kmm_solve  # noqa: E402
 
 N_BINS = 256
 REPEATS = 7
@@ -94,9 +102,23 @@ def forest_kernels(d):
     ]
 
 
+def kmm_kernel(n, shift, d=5):
+    rng = np.random.default_rng(4)
+    train, test = rng.normal(size=(n, d)), rng.normal(shift, 1.0, size=(n, d))
+    kernel = KernelSpec().resolved(np.vstack([train, test]))
+    g = gram(kernel, train, train)
+    kappa = gram(kernel, train, test).sum(axis=1)
+    eta = DEFAULT_ETA
+    _, history = _kmm_solve(g, kappa, n, eta, eta / np.sqrt(n))
+    timing = per_call_us(lambda: _kmm_solve(g, kappa, n, eta, eta / np.sqrt(n)))
+    shape = {"n": n, "d": d, "shift": shift}
+    return {"kernel": "kmm_solve", **shape, "steps": len(history) - 1, **timing}
+
+
 def main():
     results = [r for n in (1000, 8000) for d in (4, 5) for r in node_kernels(n, d)]
     results += [r for d in (4, 5) for r in forest_kernels(d)]
+    results += [kmm_kernel(n, shift) for shift in (0.5, 1.0) for n in (300, 750, 1500)]
     machine = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
