@@ -163,9 +163,11 @@ class CvGrid:
     """Named hyperparameter lists for the base and refinement models.
 
     Each key is a ``GBTConfig`` field other than ``seed``, which the
-    pipeline derives itself, and each value a non-empty list of settings for
-    it. The default is a small base x refine grid: per fold,
-    ``cross_validate`` fits two base ensembles and four sets of refiners.
+    pipeline derives itself, and each value a non-empty list of distinct
+    settings for it. The default is a small base x refine grid that varies
+    only ``n_estimators``: per fold, ``cross_validate`` fits one 200-round
+    base ensemble and, per base point, one set of 25-round refiners; the
+    smaller settings take the first rounds of those fits.
     """
 
     base: dict = field(default_factory=lambda: {"n_estimators": [50, 200]})
@@ -183,11 +185,13 @@ class CvGrid:
                     raise ValueError(f"{section}: {key!r} must be a list of values")
                 if not values:
                     raise ValueError(f"empty grid list for {key!r}")
-                for value in values:
+                for i, value in enumerate(values):
                     try:
                         GBTConfig(**{key: value})
                     except (TypeError, ValueError) as exc:
                         raise ValueError(f"{section}: bad {key} {value!r}: {exc}") from exc
+                    if value in values[:i]:
+                        raise ValueError(f"{section}: {key} {value!r} is listed twice")
 
     def points(self):
         """Cartesian product as (base_overrides, refine_overrides) dicts."""
@@ -216,14 +220,20 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
     the best point).
 
     Every (fold, point) model is a ``fit_mr`` call, and a fold's calls share
-    one ``FitStages`` memo, dropped after the fold. So the work runs:
+    one ``FitStages`` memo, dropped after the fold. A fold visits its points
+    in descending (base, refine) ``n_estimators`` order, so the longest
+    boosted fits come first and a smaller ``n_estimators`` takes their
+    first rounds. So the work runs:
 
     - once per fold: the validation weights (and the BBSE classifier behind
       them), the base/tune split, the distance matrix and the cluster cut;
-    - once per (fold, base point): the base ensemble, and per segment its
-      importance weights, tune margins and stage-1 stacking;
-    - once per (fold, grid point): the per-segment refiners, the validation
-      predictions and the score.
+    - once per (fold, base settings but ``n_estimators``): the base
+      ensemble, fitted for the most rounds the grid asks for;
+    - once per (fold, base point): per segment its importance weights, tune
+      margins and stage-1 stacking;
+    - once per (fold, base point, refine settings but ``n_estimators``):
+      the per-segment refiners, fitted for the most rounds asked for;
+    - once per (fold, grid point): the validation predictions and the score.
 
     Each model is the same bytes as a ``fit_mr`` of that fold and point on
     its own. A point whose fit fails on a fold warns and is skipped there.
@@ -249,13 +259,22 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
         fold_weights.append(w)
 
     points = list(grid.points())
+    # the longest fits first: a smaller n_estimators takes their first rounds
+    visit = sorted(
+        points,
+        key=lambda p: (
+            p[0].get("n_estimators", config.base.n_estimators),
+            p[1].get("n_estimators", config.refine.n_estimators),
+        ),
+        reverse=True,
+    )
     losses: dict = {_point_key(p): [] for p in points}
     reports: dict = {_point_key(p): [] for p in points}
     for fold_i, (train_idx, valid_idx) in enumerate(folds):
         fold_train = train.subset(train_idx)
         fold_cfg = replace(config, seed=derive_seed(config.seed, "cv-fold", fold_i))
         stages = FitStages(fold_train, test_features)
-        for point in points:
+        for point in visit:
             base_over, refine_over = point
             cfg = replace(
                 fold_cfg,

@@ -321,6 +321,27 @@ class GBTModel:
     ) -> np.ndarray:
         return losses.margin_to_proba(self.predict_margin(x, base_margin), self.loss)
 
+    def first_rounds(self, r: int) -> "GBTModel":
+        """The model of its first ``r`` boosting rounds, its trees views of this one's.
+
+        ``fit_gbt`` reads ``n_estimators`` only as its round count: the
+        canonical order, the bins, the init margin and every round's row and
+        column draws do not depend on it. So this is the same bytes as the
+        fit with ``n_estimators=r`` (boosting is stagewise).
+        """
+        n_trees = r * self.loss.margin_width
+        if not 0 <= n_trees <= len(self.trees):
+            rounds = len(self.trees) // self.loss.margin_width
+            raise ValueError(f"the model has {rounds} rounds, fewer than {r}")
+        t = self.trees
+        end = t.offsets[n_trees]
+        trees = Forest(
+            *(getattr(t, key)[:end] for key in _NODE_FIELDS),
+            offsets=t.offsets[: n_trees + 1],
+            class_k=t.class_k[:n_trees],
+        )
+        return replace(self, trees=trees)
+
     def to_dict(self) -> dict:
         return {
             "model": "gbt",

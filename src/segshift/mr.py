@@ -17,7 +17,7 @@ pooled per-segment weights (dr), optionally with one-hot segment features
 import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -175,6 +175,14 @@ class BaseEnsemble:
         out = stacked_margins(self, self.models, x)
         w = self.loss.margin_width
         return out if w == 1 else out.reshape(len(out), self.n_models, w)
+
+    def first_rounds(self, r: int) -> "BaseEnsemble":
+        """The ensemble of each model's first ``r`` boosting rounds (``GBTModel.first_rounds``)."""
+        return BaseEnsemble(
+            models=[m.first_rounds(r) for m in self.models],
+            assignment=self.assignment,
+            loss=self.loss,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -787,22 +795,46 @@ def _memo(table: dict, key, compute):
     return table[key]
 
 
+def _rounds_memo(table: dict, key, rounds: int, fit):
+    """A boosted fit of ``rounds`` rounds, served from the longest fit kept under ``key``.
+
+    ``table[key]`` holds (rounds, model) of the fit with the most rounds so
+    far. A request for at most that many takes its first rounds; a request
+    for more calls ``fit()`` and replaces the entry. A ``fit`` that raises
+    stores nothing.
+    """
+    if key not in table or table[key][0] < rounds:
+        table[key] = (rounds, fit())
+    held, model = table[key]
+    return model if held == rounds else model.first_rounds(rounds)
+
+
 class FitStages:
     """Stage results shared by ``fit_mr`` calls on one ``(train, test_features)`` pair.
 
-    Each stage is keyed on the ``MRConfig`` fields it reads. The plan
-    (stage 1) is keyed on every field but ``base`` and ``refine``; the base
-    ensemble (stage 2) and each segment's head (stage 3) on every field but
-    ``refine``, since the BBSE weights use the all-segments base model. Only
-    the refiners (stage 4) are fit on every call.
+    Each stage is keyed on the ``MRConfig`` fields it reads:
+
+    - the plan (stage 1): every field but ``base`` and ``refine``;
+    - the base ensemble (stage 2): every field but ``refine`` and the base
+      ``n_estimators``;
+    - each segment's head (stage 3): its base point, every field but
+      ``refine``, since it reads the ensemble's margins and the BBSE weights
+      use the all-segments base model;
+    - each segment's refiner (stage 4): its base point, its segment and the
+      ``refine`` settings but their ``n_estimators``.
+
+    Stages 2 and 4 keep the fit with the most rounds asked for so far and
+    serve a smaller ``n_estimators`` as its first rounds. Boosting is
+    stagewise, so that is the same bytes as a fit of that many rounds.
     """
 
     def __init__(self, train: Dataset, test_features):
         self.train = train
         self.test_features = test_features
         self.plans: dict = {}
-        self.ensembles: dict = {}
-        self.heads: dict = {}  # base key -> {segment id: SegmentHead}
+        self.ensembles: dict = {}  # base settings but rounds -> (rounds, BaseEnsemble)
+        self.heads: dict = {}  # base key -> (BaseEnsemble, {segment id: SegmentHead})
+        self.refiners: dict = {}  # (base key, segment id, refine but rounds) -> (rounds, GBTModel)
 
 
 def fit_mr(
@@ -823,27 +855,34 @@ def fit_mr(
 
     Stages 3 and 4 of one segment run as one task of the thread pool.
     ``stages``, a ``FitStages`` built for this ``(train, test_features)``
-    pair, keeps the results of stages 1-3 for later calls with other
-    ``refine`` (or ``base``) settings; the model is the same bytes as a fit
-    without it.
+    pair, keeps the results of every stage for later calls with other
+    ``base`` or ``refine`` settings. A call whose only change is a smaller
+    ``n_estimators`` takes the first rounds of the kept ensemble or
+    refiners rather than fitting again. The model is the same bytes as a
+    fit without ``stages``.
     """
     if stages is None:
         stages = FitStages(train, test_features)
     elif stages.train is not train or stages.test_features is not test_features:
         raise ValueError("fit stages were built for another (train, test_features) pair")
-    plan = _memo(
-        stages.plans, _config_key(config, "base", "refine"),
-        lambda: plan_fit(train, test_features, config),
-    )
+    plan_key = _config_key(config, "base", "refine")
+    plan = _memo(stages.plans, plan_key, lambda: plan_fit(train, test_features, config))
     base_key = _config_key(config, "refine")
-    ensemble = _memo(
-        stages.ensembles, base_key,
-        lambda: fit_base_ensemble(
-            plan.base_fold, plan.assignment, config.base.with_seed(config.seed)
-        ),
-    )
-    # each pool task reads and writes only its own segment's entry
-    heads = stages.heads.setdefault(base_key, {})
+
+    def base_point():
+        ensemble = _rounds_memo(
+            stages.ensembles,
+            (plan_key, replace(config.base, n_estimators=0)),
+            config.base.n_estimators,
+            lambda: fit_base_ensemble(
+                plan.base_fold, plan.assignment, config.base.with_seed(config.seed)
+            ),
+        )
+        return ensemble, {}
+
+    # each pool task reads and writes only its own segment's entries
+    ensemble, heads = _memo(stages.heads, base_key, base_point)
+    refine_key = replace(config.refine, n_estimators=0)
 
     def fit_one_segment(s: int) -> SegmentModel:
         head = _memo(heads, s, lambda: fit_segment_head(train, plan, ensemble, config, s))
@@ -851,8 +890,12 @@ def fit_mr(
             derive_seed(config.seed, "refine", index_digest(head.tune_rows))
         )
         tune_xy = (train.features[head.tune_rows], train.labels[head.tune_rows])
-        refiner = fit_stage2(
-            tune_xy, head.stage1, ensemble, head.weights, refine_cfg, margins=head.tune_margins
+        refiner = _rounds_memo(
+            stages.refiners, (base_key, s, refine_key), config.refine.n_estimators,
+            lambda: fit_stage2(
+                tune_xy, head.stage1, ensemble, head.weights, refine_cfg,
+                margins=head.tune_margins,
+            ),
         )
         return SegmentModel(
             stage1=head.stage1, refiner=refiner, weight_summary=head.weights.summary()

@@ -10,6 +10,7 @@ embeddings).
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -134,6 +135,11 @@ class SegmentDistanceMatrix:
     @property
     def n_segments(self) -> int:
         return len(self.segment_ids)
+
+    @cached_property
+    def ward_partitions(self) -> tuple:
+        """The Ward partitions of segment positions after each merge, computed once."""
+        return tuple(_ward_merge_sequence(self.values))
 
 
 def _joint_sample(data: Dataset, rows: np.ndarray) -> np.ndarray:
@@ -276,8 +282,7 @@ def cluster_segments(d: SegmentDistanceMatrix, m: int) -> ClusterAssignment:
     n = d.n_segments
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}]")
-    partitions = _ward_merge_sequence(np.array(d.values))
-    part = partitions[n - m]
+    part = d.ward_partitions[n - m]
     ids = d.segment_ids
     clusters = sorted((tuple(ids[i] for i in c) for c in part), key=lambda c: min(c))
     return ClusterAssignment(clusters=tuple(clusters))
@@ -288,7 +293,7 @@ def choose_num_clusters(d: SegmentDistanceMatrix, min_cluster_size: int = 2) -> 
     n = d.n_segments
     if n == 1:
         return 1
-    partitions = _ward_merge_sequence(np.array(d.values))
+    partitions = d.ward_partitions
     for m in range(n, 1, -1):
         if all(len(c) >= min_cluster_size for c in partitions[n - m]):
             return m

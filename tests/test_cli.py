@@ -267,8 +267,10 @@ def test_cv_command(tmp_path):
         ["x"],
         {"base": {"max_depth": [-1]}},
         {"bases": {"n_estimators": [8]}},
+        {"refine": {"n_estimators": [2, 2]}},
     ],
-    ids=["unknown-field", "not-a-list", "not-an-object", "invalid-value", "unknown-section"],
+    ids=["unknown-field", "not-a-list", "not-an-object", "invalid-value", "unknown-section",
+         "repeated-value"],
 )
 def test_cv_bad_grid_file_exit_2(tmp_path, capsys, doc):
     run(simulate_args(tmp_path, n_train=200, n_test=100, segments=2))

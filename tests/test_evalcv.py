@@ -190,12 +190,13 @@ def test_cv_fold_sizes():
 
 def test_cv_order_invariance():
     train, test = sim(seed=3, n=300)
-    g1 = CvGrid(base={"n_estimators": [5, 20]}, refine={"n_estimators": [2]})
-    g2 = CvGrid(base={"n_estimators": [20, 5]}, refine={"n_estimators": [2]})
+    g1 = CvGrid(base={"n_estimators": [40, 20]}, refine={"n_estimators": [3, 0]})
+    g2 = CvGrid(base={"n_estimators": [20, 40]}, refine={"n_estimators": [0, 3]})
     cfg = tiny_config(seed=3)
-    b1, _ = cross_validate(train, (test.features, test.segment_id), g1, 2, cfg)
-    b2, _ = cross_validate(train, (test.features, test.segment_id), g2, 2, cfg)
+    b1, r1 = cross_validate(train, (test.features, test.segment_id), g1, 2, cfg)
+    b2, r2 = cross_validate(train, (test.features, test.segment_id), g2, 2, cfg)
     assert b1 == b2
+    assert [r.to_dict() for r in r1] == [r.to_dict() for r in r2]
 
 
 def test_cv_k_validation():
@@ -219,6 +220,7 @@ def test_cv_grid_validation():
         ({"base": {"n_estimators": [2.5]}}, "n_estimators must be an integer"),
         ({"refine": {"learning_rate": ["fast"]}}, "bad learning_rate 'fast'"),
         ({"base": [8]}, "must map GBTConfig fields"),
+        ({"base": {"n_estimators": [3, 3]}}, "base: n_estimators 3 is listed twice"),
     ],
 )
 def test_cv_grid_rejects_bad_entries(grid, message):
@@ -325,11 +327,13 @@ def test_cv_stage_reuse_matches_direct_fits(monkeypatch, shift):
     for fold, fold_train in fold_trains.items():
         n_segments = len(fold_train.present_segments())
         counts = {name: calls.count((fold, name)) for name in stages}
+        # the 10-round ensemble and each base point's 3-round refiners serve
+        # the 5-round and 0-round points as their first rounds
         assert counts == {
             "segment_distance_matrix": 1,
-            "fit_base_ensemble": 2,
+            "fit_base_ensemble": 1,
             "fit_stage1": 2 * n_segments,
-            "fit_stage2": 4 * n_segments,
+            "fit_stage2": 2 * n_segments,
         }
     texts = []
     for fold_train, test_features, config, model in fits:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,6 +358,25 @@ def test_serialization_roundtrip_bytes(loss):
     model = fit_gbt(x, y, loss, GROWER_CFG, sample_weight=w)
     text = json.dumps(model.to_dict())
     assert json.dumps(GBTModel.from_dict(json.loads(text)).to_dict()) == text
+
+
+@pytest.mark.parametrize("with_base_margin", [False, True], ids=["init", "base-margin"])
+@pytest.mark.parametrize("loss", [SQ, LOG, SOFT])
+def test_first_rounds_equal_a_fit_of_that_many_rounds(loss, with_base_margin):
+    x, y, w = grower_data(loss, n=200)
+    base = None
+    if with_base_margin:
+        base = np.random.default_rng(52).normal(size=(len(y), loss.margin_width)).squeeze()
+    n = 6
+    cfg = GBTConfig(n_estimators=n, max_depth=3, subsample=0.8, colsample_bytree=0.5, seed=53)
+    longest = fit_gbt(x, y, loss, cfg, sample_weight=w, base_margin=base)
+    for r in range(n + 1):
+        direct = fit_gbt(x, y, loss, replace(cfg, n_estimators=r), sample_weight=w, base_margin=base)
+        prefix = longest.first_rounds(r)
+        assert json.dumps(prefix.to_dict()) == json.dumps(direct.to_dict())
+        np.testing.assert_array_equal(prefix.predict_margin(x), direct.predict_margin(x))
+    with pytest.raises(ValueError, match="fewer than 7"):
+        longest.first_rounds(n + 1)
 
 
 def test_two_stump_manual_walk():

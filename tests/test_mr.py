@@ -527,6 +527,35 @@ def test_mr_refuses_stages_of_another_pair():
             fit_mr(*args, quick_config(), stages=stages)
 
 
+def test_fit_stages_serve_fewer_rounds_as_a_prefix(monkeypatch):
+    import segshift.mr as mr_module
+
+    train, test = small_sim(seed=22, n=400, segs=2)
+    features = (test.features, test.segment_id)
+    points = [(b, r) for b in (5, 12) for r in (0, 4)]
+    # ascending rounds refit and replace the kept fits; descending ones take prefixes
+    sequence = points + points[::-1]
+    calls = []
+    fit_base_ensemble = mr_module.fit_base_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_base_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(mr_module, "fit_base_ensemble", counting)
+    stages = FitStages(train, features)
+    staged = []
+    for b, r in sequence:
+        cfg = quick_config(
+            seed=3, base=cluster_base_config(n_estimators=b), refine=refine_config(n_estimators=r)
+        )
+        staged.append((cfg, json.dumps(fit_mr(train, features, cfg, stages=stages).to_dict())))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for cfg, text in staged:
+        assert text == json.dumps(fit_mr(train, features, cfg).to_dict())
+
+
 def test_mr_requires_overlapping_vocabulary():
     train, test = small_sim(seed=14)
     with pytest.raises(ValueError, match="overlap"):

@@ -6,6 +6,7 @@ import pytest
 from segshift import (
     Dataset,
     KernelSpec,
+    MRConfig,
     TaskKind,
     choose_num_clusters,
     cluster_segments,
@@ -13,6 +14,8 @@ from segshift import (
     mmd_unbiased,
     segment_distance_matrix,
 )
+from segshift import segmentation
+from segshift.mr import plan_fit
 from segshift.segmentation import SegmentDistanceMatrix, _ward_merge_sequence, gram
 
 
@@ -297,6 +300,22 @@ def test_choose_num_clusters():
     assert choose_num_clusters(two) == 1
     one = SegmentDistanceMatrix(np.zeros((1, 1)), (0,), ("a",))
     assert choose_num_clusters(one) == 1
+
+
+def test_auto_plan_runs_one_ward_merge_sequence(monkeypatch):
+    calls = []
+    merge = segmentation._ward_merge_sequence
+
+    def counting(d):
+        calls.append(1)
+        return merge(d)
+
+    monkeypatch.setattr(segmentation, "_ward_merge_sequence", counting)
+    train = segments_dataset(40, n_segments=6)
+    plan = plan_fit(train, (train.features, train.segment_id), MRConfig(clusters="auto"))
+    # choose_num_clusters and cluster_segments read the same merge sequence
+    assert len(calls) == 1
+    assert plan.assignment.n_clusters == 2
 
 
 def test_gram_requires_resolved_bandwidth():
