@@ -28,13 +28,7 @@ from .data import (
 )
 from .evalcv import CvGrid, cross_validate, per_segment_report
 from .learners import GBTConfig, cluster_base_config, refine_config
-from .mr import DRModel, MRConfig, MRModel, fit_dr, fit_mr
-from .segmentation import (
-    KernelSpec,
-    choose_num_clusters,
-    cluster_segments,
-    segment_distance_matrix,
-)
+from .mr import DRModel, MRConfig, MRModel, _resolve_clusters, fit_dr, fit_mr
 
 FIT_METHODS = ("mr", "dr", "dr-sf", "gbt")
 
@@ -156,14 +150,17 @@ def _bandwidth(args) -> float | str:
     return value
 
 
-def _mr_config(args) -> MRConfig:
+def _clusters(args) -> int | str:
     if args.clusters == "auto":
-        clusters = "auto"
-    else:
-        try:
-            clusters = int(args.clusters)
-        except ValueError:
-            raise _usage(f"--clusters must be 'auto' or an integer, got {args.clusters!r}")
+        return "auto"
+    try:
+        return int(args.clusters)
+    except ValueError:
+        raise _usage(f"--clusters must be 'auto' or an integer, got {args.clusters!r}")
+
+
+def _mr_config(args) -> MRConfig:
+    clusters = _clusters(args)
     bandwidth = _bandwidth(args)
     try:
         return MRConfig(
@@ -214,23 +211,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    bandwidth = _bandwidth(args)
+    # a fit's config with this command's flags, so the matrix is the one plan_fit computes
+    config = MRConfig(
+        clusters=_clusters(args),
+        min_cluster_size=args.min_cluster_size,
+        bandwidth=_bandwidth(args),
+        max_per_segment=args.max_per_segment,
+        seed=args.seed,
+        n_threads=args.threads,
+    )
     task = _task_from_args(args)
     train = _load_train(args, task)
-    kernel = None if bandwidth == "median" else KernelSpec(bandwidth)
     try:
-        d = segment_distance_matrix(
-            train,
-            kernel=kernel,
-            max_per_segment=args.max_per_segment,
-            seed=args.seed,
-            n_threads=args.threads,
-        )
-        if args.clusters == "auto":
-            m = choose_num_clusters(d, args.min_cluster_size)
-        else:
-            m = int(args.clusters)
-        assignment = cluster_segments(d, m)
+        d, assignment = _resolve_clusters(train, config)
     except (DataError, ValueError) as exc:
         raise _runtime(str(exc)) from exc
     out = {

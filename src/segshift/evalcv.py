@@ -15,7 +15,7 @@ import numpy as np
 from ._seeds import derive_seed
 from .data import Dataset, kfold_plan
 from .learners import GBTConfig
-from .mr import FitStages, MRConfig, fit_mr, _segment_weights
+from .mr import FitStages, MRConfig, fit_mr, _pooled_weights
 
 CE_CLIP = 1e-12
 
@@ -248,15 +248,10 @@ def cross_validate(train: Dataset, test_features, grid: CvGrid, k: int, config: 
 
     fold_weights = []
     for train_idx, valid_idx in folds:
-        w = np.ones(len(valid_idx))
         margin_fn = _bbse_margin_fn(train, train_idx, config)
-        for s in np.unique(train.segment_id[valid_idx]):
-            pos = np.flatnonzero(train.segment_id[valid_idx] == s)
-            rows = valid_idx[pos]
-            test_rows = np.flatnonzero(test_segments == s)
-            wv = _segment_weights(train, rows, rows, test_x, test_rows, config, margin_fn)
-            w[pos] = wv.values
-        fold_weights.append(w)
+        fold_weights.append(
+            _pooled_weights(train, valid_idx, test_x, test_segments, config, lambda s: margin_fn)
+        )
 
     points = list(grid.points())
     # the longest fits first: a smaller n_estimators takes their first rounds

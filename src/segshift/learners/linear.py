@@ -2,16 +2,18 @@
 
 The objective is the *sum* of weighted per-sample losses plus an L2 term
 ``(l2 / 2) * ||coef||^2``; the intercept is never penalized. Squared loss
-solves its normal equations by Cholesky. Logistic and softmax fits, and
-the shared-softmax stacking of ``mr``, all run the one ``newton`` loop:
-each iteration adds ``JITTER`` to the Hessian diagonal, solves for the
-step by LU (``np.linalg.solve``; the softmax intercepts leave the Hessian
-singular, which Cholesky rejects), takes the least-squares step instead
-when LU finds the Hessian exactly singular (duplicated columns), and
-halves the step up to ``MAX_HALVINGS`` times until the objective does not
-rise. It stops when the gradient norm is at most ``GRAD_TOL`` (converged),
-after ``MAX_NEWTON_ITER`` iterations, or when no halving helps; the last
-two warn that the solve did not converge.
+solves its normal equations by Cholesky. Logistic ``fit_linear`` and the
+shared-softmax stacking of ``mr`` both call ``fit_glm``, one GLM over a
+design matrix with a row per (sample, class) pair, whose gradient and
+Hessian run the one ``newton`` loop: each iteration adds ``JITTER`` to the
+Hessian diagonal, solves for the step by LU (``np.linalg.solve``; the
+softmax intercepts leave the Hessian singular, which Cholesky rejects),
+takes the least-squares step instead when LU finds the Hessian exactly
+singular (duplicated columns), and halves the step up to ``MAX_HALVINGS``
+times until the objective does not rise. It stops when the gradient norm
+is at most ``GRAD_TOL`` (converged), after ``MAX_NEWTON_ITER`` iterations,
+or when no halving helps; the last two warn that the solve did not
+converge.
 """
 
 import warnings
@@ -31,8 +33,8 @@ JITTER = 1e-10
 
 @dataclass
 class LinearModel:
-    coef: np.ndarray  # (d,) or (d, K)
-    intercept: np.ndarray  # () scalar array or (K,)
+    coef: np.ndarray  # (d,)
+    intercept: np.ndarray  # () scalar array
     loss: LossKind
     l2: float
 
@@ -46,25 +48,6 @@ class LinearModel:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return losses.margin_to_proba(self.predict_margin(x), self.loss)
-
-    def to_dict(self) -> dict:
-        return {
-            "coef": self.coef.tolist(),
-            "intercept": self.intercept.tolist(),
-            "loss": self.loss.name,
-            "n_classes": self.loss.n_classes,
-            "l2": self.l2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        loss = LossKind(d["loss"], d["n_classes"])
-        return cls(
-            coef=np.asarray(d["coef"], dtype=np.float64),
-            intercept=np.asarray(d["intercept"], dtype=np.float64),
-            loss=loss,
-            l2=float(d["l2"]),
-        )
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray, l2: float) -> np.ndarray:
@@ -130,44 +113,44 @@ def newton(objective, grad_hess, theta0: np.ndarray):
     return theta, False
 
 
-def _fit_glm(x, y, loss, l2, w, fit_intercept):
-    """Logistic (width 1) or softmax (width K) fit over parameters (d [+1], K)."""
-    n, d = x.shape
+def fit_glm(design, y, loss, l2, w, n_penalized):
+    """Newton fit of a logistic or softmax GLM; returns the parameter vector.
+
+    ``design`` has one row per (sample, class) pair, sample-major, so the
+    margins are ``(design @ theta).reshape(n, K)`` (a flat ``(n,)`` vector
+    for logistic, K = 1). ``w`` holds the n sample weights, and the L2 term
+    covers the first ``n_penalized`` parameters.
+    """
     k = loss.margin_width
-    xa = np.hstack([x, np.ones((n, 1))]) if fit_intercept else x
-    da = xa.shape[1]
-    nc = d * k  # the penalized coef rows come first in the flattened (da, k) layout
+    n = len(y)
+    w_rows = np.repeat(w, k)
 
     def margin(t):
-        return xa @ (t.reshape(da, k) if k > 1 else t)
+        z = design @ t
+        return z.reshape(n, k) if k > 1 else z
 
     def objective(t):
         return float(np.sum(w * losses.loss_values(loss, y, margin(t)))) + 0.5 * l2 * float(
-            t[:nc] @ t[:nc]
+            t[:n_penalized] @ t[:n_penalized]
         )
 
     def grad_hess(t):
         z = margin(t)
         g, h = losses.grad_hess(loss, y, z)
-        if k == 1:
-            grad = xa.T @ (w * g)
-            hess = xa.T @ (xa * (w * h)[:, None])
-        else:
-            # H[(a,i),(b,j)] = sum_n w x_a x_b (p_i delta_ij - p_i p_j)
-            p = losses.softmax_rows(z)
-            grad = (xa.T @ (g * w[:, None])).reshape(-1)
-            u = (xa[:, :, None] * p[:, None, :]).reshape(n, da * k)
-            hess = -(u.T @ (u * w[:, None]))
-            for i in range(k):
-                hess[i::k, i::k] += xa.T @ (xa * (w * p[:, i])[:, None])
-        grad[:nc] += l2 * t[:nc]
-        hess[np.arange(nc), np.arange(nc)] += l2
+        if k > 1:
+            # H = sum_i w_i X_i^T (diag(p_i) - p_i p_i^T) X_i over sample i's K rows X_i
+            h = losses.softmax_rows(z)
+        grad = design.T @ (w_rows * g.reshape(-1))
+        hess = design.T @ (design * (w_rows * h.reshape(-1))[:, None])
+        if k > 1:
+            u = (design * h.reshape(-1, 1)).reshape(n, k, -1).sum(axis=1)
+            hess -= u.T @ (u * w[:, None])
+        grad[:n_penalized] += l2 * t[:n_penalized]
+        hess[np.arange(n_penalized), np.arange(n_penalized)] += l2
         return grad, hess
 
-    theta, _ = newton(objective, grad_hess, np.zeros(da * k))
-    theta = theta.reshape(da, k) if k > 1 else theta
-    intercept = theta[d] if fit_intercept else np.zeros(theta.shape[1:])
-    return theta[:d], np.asarray(intercept)
+    theta, _ = newton(objective, grad_hess, np.zeros(design.shape[1]))
+    return theta
 
 
 def fit_linear(
@@ -178,12 +161,14 @@ def fit_linear(
     sample_weight: np.ndarray | None = None,
     fit_intercept: bool = True,
 ) -> LinearModel:
-    """Fit a linear model for the given loss.
+    """Fit a linear model for squared or logistic loss.
 
-    Squared loss is solved exactly; logistic and softmax use damped Newton
-    iterations. ``sample_weight`` multiplies per-sample losses and must be
-    nonnegative.
+    Squared loss is solved exactly; logistic loss runs ``fit_glm`` on ``x``
+    with an intercept column. ``sample_weight`` multiplies per-sample losses
+    and must be nonnegative.
     """
+    if loss.name not in ("squared", "logistic"):
+        raise ValueError(f"fit_linear supports squared and logistic loss, not {loss.name}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -200,7 +185,10 @@ def fit_linear(
     if loss.name == "squared":
         coef, intercept = _fit_squared(x, y, l2, w, fit_intercept)
     else:
-        coef, intercept = _fit_glm(x, y, loss, l2, w, fit_intercept)
+        d = x.shape[1]
+        design = np.hstack([x, np.ones((n, 1))]) if fit_intercept else x
+        theta = fit_glm(design, y, loss, l2, w, n_penalized=d)
+        coef, intercept = theta[:d], np.asarray(theta[d] if fit_intercept else 0.0)
     if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(intercept))):
         raise ValueError("linear fit produced non-finite parameters")
     return LinearModel(coef=coef, intercept=intercept, loss=loss, l2=l2)

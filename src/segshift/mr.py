@@ -36,10 +36,11 @@ from .learners import (
     refine_config,
 )
 from .learners.gbt import stacked_margins
-from .learners.linear import newton
+from .learners.linear import fit_glm
 from .segmentation import (
     ClusterAssignment,
     KernelSpec,
+    SegmentDistanceMatrix,
     cluster_segments,
     choose_num_clusters,
     segment_distance_matrix,
@@ -303,33 +304,16 @@ def _check_stage1(stage1: Stage1Model, n_models: int, loss: LossKind, role: str)
 
 
 def _solve_shared_softmax(h, y, loss, l2, fit_intercept):
-    """Newton fit of margins z_ik = sum_m beta_m h_imk + c_k with L2 on beta."""
+    """Fit margins z_ik = sum_m beta_m h_imk + c_k, with L2 on beta, by ``fit_glm``.
+
+    The design has one row per (sample, class) pair: class k's base margins
+    h[i, :, k], then the indicator e_k when the intercept is fit.
+    """
     n, n_models, k = h.shape
-    onehot = np.eye(k)[y.astype(np.intp)]
-    # per-row feature map phi[i, :, k] = (h[i, :, k], e_k)
-    phi = np.concatenate([h, np.broadcast_to(np.eye(k), (n, k, k))], axis=1) if fit_intercept else h
-    m = np.arange(n_models)
-
-    def margins(t):
-        z = np.einsum("nmk,m->nk", h, t[:n_models])
-        return z + t[n_models:] if fit_intercept else z
-
-    def objective(t):
-        beta = t[:n_models]
-        return float(np.sum(losses.loss_values(loss, y, margins(t)))) + 0.5 * l2 * float(beta @ beta)
-
-    def grad_hess(t):
-        p = losses.softmax_rows(margins(t))
-        grad = np.einsum("nk,npk->p", p - onehot, phi)
-        grad[:n_models] += l2 * t[:n_models]
-        # hessian = sum_i phi_i (diag(p_i) - p_i p_i^T) phi_i^T
-        ap = phi * p[:, None, :]
-        u = ap.sum(axis=2)
-        hess = np.einsum("npk,nqk->pq", ap, phi) - u.T @ u
-        hess[m, m] += l2
-        return grad, hess
-
-    theta, _ = newton(objective, grad_hess, np.zeros(phi.shape[1]))
+    design = h.transpose(0, 2, 1).reshape(n * k, n_models)
+    if fit_intercept:
+        design = np.hstack([design, np.tile(np.eye(k), (n, 1))])
+    theta = fit_glm(design, y, loss, l2, np.ones(n), n_penalized=n_models)
     c = theta[n_models:] if fit_intercept else np.zeros(k)
     return theta[:n_models], np.asarray(c)
 
@@ -528,6 +512,31 @@ def _segment_weights(
     return expand_class_weights(cw, train.labels[eval_rows], eta=config.eta)
 
 
+def _pooled_weights(
+    train: Dataset,
+    rows: np.ndarray,
+    test_x: np.ndarray,
+    test_segments: np.ndarray,
+    config: MRConfig,
+    segment_margin,
+) -> np.ndarray:
+    """Importance weights of ``rows``, each estimated within its own segment.
+
+    ``segment_margin(s)`` returns segment ``s``'s ``classifier_margin`` for
+    ``_segment_weights``. Returns one weight per entry of ``rows``.
+    """
+    out = np.ones(len(rows))
+    row_segments = train.segment_id[rows]
+    for s in np.unique(row_segments):
+        pos = np.flatnonzero(row_segments == s)
+        seg_rows = rows[pos]
+        test_rows = np.flatnonzero(test_segments == s)
+        out[pos] = _segment_weights(
+            train, seg_rows, seg_rows, test_x, test_rows, config, segment_margin(int(s))
+        ).values
+    return out
+
+
 def _predicted_classes(margin: np.ndarray) -> np.ndarray:
     if margin.ndim == 1:
         return (margin > 0).astype(np.int64)
@@ -556,19 +565,16 @@ def fit_dr(
         fx, train.labels, loss, config.base.with_seed(derive_seed(config.seed, "dr-base", tag))
     )
 
-    pooled = np.ones(train.n)
-    for s in train.present_segments():
-        rows = train.segment_rows(int(s))
-        test_rows = np.flatnonzero(test_segments == s)
-
-        def margin_fn(xm, s=int(s)):
+    def segment_margin(s):
+        def margin_fn(xm):
             if with_segment_features:
                 seg = np.full(xm.shape[0], s, dtype=np.int64)
                 xm = np.hstack([xm, segment_onehot(seg, train.n_segments)])
             return base.predict_margin(xm)
 
-        wv = _segment_weights(train, rows, rows, test_x, test_rows, config, margin_fn)
-        pooled[rows] = wv.values
+        return margin_fn
+
+    pooled = _pooled_weights(train, np.arange(train.n), test_x, test_segments, config, segment_margin)
     refiner = fit_gbt(
         fx,
         train.labels,
@@ -683,11 +689,18 @@ class MRModel:
         )
 
 
-def _resolve_clusters(train: Dataset, config: MRConfig, max_auto: int | None = None) -> ClusterAssignment:
+def _resolve_clusters(
+    train: Dataset, config: MRConfig, max_auto: int | None = None
+) -> tuple[SegmentDistanceMatrix | None, ClusterAssignment]:
+    """(distance matrix, cluster assignment) for ``config.clusters``.
+
+    An explicit assignment needs no matrix, which is then None. ``max_auto``
+    caps the count that ``"auto"`` picks.
+    """
     if isinstance(config.clusters, ClusterAssignment):
-        return config.clusters
+        return None, config.clusters
     if isinstance(config.clusters, tuple):
-        return ClusterAssignment(config.clusters)
+        return None, ClusterAssignment(config.clusters)
     d = segment_distance_matrix(
         train,
         kernel=None if config.bandwidth == "median" else KernelSpec(config.bandwidth),
@@ -702,7 +715,7 @@ def _resolve_clusters(train: Dataset, config: MRConfig, max_auto: int | None = N
             m = max(1, max_auto)
     else:
         m = int(config.clusters)
-    return cluster_segments(d, m)
+    return d, cluster_segments(d, m)
 
 
 @dataclass
@@ -749,7 +762,7 @@ def plan_fit(train: Dataset, test_features, config: MRConfig) -> FitPlan:
         test_segments=test_segments,
         tune_mask=tune_mask,
         base_fold=train.subset(split.base_indices),
-        assignment=_resolve_clusters(train, config, max_auto=min_tune - 2),
+        assignment=_resolve_clusters(train, config, max_auto=min_tune - 2)[1],
         segments=sorted(train_segs),
     )
 

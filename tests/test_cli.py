@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from segshift import MRModel, mr
+from segshift import MRConfig, MRModel, TaskKind, load_csv, mr
 from segshift.cli import main
 
 
@@ -207,6 +207,42 @@ def test_cluster_command(tmp_path):
     flat = sorted(s for c in doc["clusters"] for s in c)
     assert flat == ["1", "2", "3"]
     assert len(doc["distance_matrix"]) == 3
+
+
+def test_cluster_command_matches_plan_fit(tmp_path, monkeypatch):
+    # over 1,000 pooled rows the median bandwidth subsamples with the seed,
+    # so the command must seed the distance matrix the way plan_fit does
+    run(simulate_args(tmp_path, n_train=1500, segments=4, seed=2))
+    argv = ["--seed", "5", "--max-per-segment", "300", "--threads", "1"]
+    code = run([
+        "cluster",
+        "--train", str(tmp_path / "train.csv"),
+        "--task", "regression",
+        "--out", str(tmp_path / "clusters.json"),
+        *argv,
+    ])
+    assert code == 0
+    doc = json.loads((tmp_path / "clusters.json").read_text())
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(mr_distance(*args, **kwargs))
+        return seen[-1]
+
+    mr_distance = mr.segment_distance_matrix
+    monkeypatch.setattr(mr, "segment_distance_matrix", recording)
+    task = TaskKind.regression()
+    train = load_csv(tmp_path / "train.csv", "y", "__segment__", task)
+    test = load_csv(tmp_path / "test.csv", "y", "__segment__", task,
+                    segment_names=train.segment_names)
+    config = MRConfig(seed=5, max_per_segment=300)
+    plan = mr.plan_fit(train, (test.features, test.segment_id), config)
+    assert len(seen) == 1
+    assert doc["distance_matrix"] == [[float(v) for v in row] for row in seen[0].values]
+    assert doc["clusters"] == [
+        [train.segment_names[s] for s in c] for c in plan.assignment.clusters
+    ]
 
 
 def test_config_file_with_cli_override(tmp_path):

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from segshift import GBTConfig, LossKind, fit_gbt, fit_linear
 from segshift.learners import losses
 from segshift.learners.gbt import Forest, GBTModel
-from segshift.learners.linear import MAX_NEWTON_ITER, newton
+from segshift.learners.linear import MAX_NEWTON_ITER, fit_glm, newton
 
 SQ = LossKind("squared")
 LOG = LossKind("logistic")
@@ -113,14 +113,28 @@ def test_singular_without_ridge():
         fit_linear(x, y, SQ, l2=0.0, fit_intercept=False)
 
 
+def _per_class_design(x, k, fit_intercept):
+    """Rows (sample i, class c) of x_i [, 1] placed in class c's column of (d [+1], K) parameters."""
+    xa = np.hstack([x, np.ones((len(x), 1))]) if fit_intercept else x
+    return np.kron(xa, np.eye(k))
+
+
 def test_softmax_linear_recovers_separation():
     rng = np.random.default_rng(0)
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
     x = np.vstack([rng.normal(c, 0.5, size=(60, 2)) for c in centers])
     y = np.repeat([0, 1, 2], 60)
-    model = fit_linear(x, y, SOFT, l2=1e-3)
-    pred = np.argmax(model.predict_proba(x), axis=1)
+    design = _per_class_design(x, 3, True)
+    theta = fit_glm(design, y, SOFT, 1e-3, np.ones(len(y)), n_penalized=2 * 3)
+    pred = np.argmax((design @ theta).reshape(-1, 3), axis=1)
     assert (pred == y).mean() > 0.97
+
+
+def test_fit_linear_rejects_softmax():
+    x = np.zeros((6, 2))
+    y = np.arange(6) % 3
+    with pytest.raises(ValueError, match="supports squared and logistic loss, not softmax"):
+        fit_linear(x, y, SOFT)
 
 
 def test_logistic_newton_matches_weights():
@@ -138,7 +152,7 @@ def test_logistic_newton_matches_weights():
 
 
 def _reference_glm(x, y, k, l2, w, fit_intercept):
-    """L-BFGS-B on the penalized objective of fit_linear, written out plainly."""
+    """L-BFGS-B on the penalized objective of a logistic or per-class softmax GLM, written out plainly."""
     n, d = x.shape
     onehot = np.eye(k)[y.astype(int)] if k > 1 else y[:, None]
 
@@ -168,6 +182,7 @@ def _reference_glm(x, y, k, l2, w, fit_intercept):
 @pytest.mark.parametrize("fit_intercept", [True, False])
 @pytest.mark.parametrize("loss", [LOG, SOFT], ids=["logistic", "softmax"])
 def test_fit_linear_matches_lbfgs_reference(loss, fit_intercept):
+    # logistic through fit_linear; softmax through fit_glm on the per-class design
     rng = np.random.default_rng(11)
     n, d = 400, 3
     x = rng.normal(size=(n, d))
@@ -175,10 +190,16 @@ def test_fit_linear_matches_lbfgs_reference(loss, fit_intercept):
     logits = x @ rng.normal(size=(d, max(k, 2))) + 0.5
     y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
     w = rng.uniform(0.2, 3.0, size=n)
-    model = fit_linear(x, y, loss, l2=0.7, sample_weight=w, fit_intercept=fit_intercept)
+    if k == 1:
+        model = fit_linear(x, y, loss, l2=0.7, sample_weight=w, fit_intercept=fit_intercept)
+        ours_coef, ours_b = model.coef.reshape(d, k), model.intercept
+    else:
+        theta = fit_glm(_per_class_design(x, k, fit_intercept), y, loss, 0.7, w, n_penalized=d * k)
+        theta = theta.reshape(d + fit_intercept, k)
+        ours_coef, ours_b = theta[:d], (theta[d] if fit_intercept else np.zeros(k))
     coef, b = _reference_glm(x, y, k, 0.7, w, fit_intercept)
-    np.testing.assert_allclose(model.coef.reshape(d, k), coef, atol=1e-6)
-    ours, ref = np.atleast_1d(model.intercept), np.atleast_1d(b)
+    np.testing.assert_allclose(ours_coef, coef, atol=1e-6)
+    ours, ref = np.atleast_1d(ours_b), np.atleast_1d(b)
     if k > 1:  # softmax margins are invariant to one shift of every class intercept
         ours, ref = ours - ours.mean(), ref - ref.mean()
     np.testing.assert_allclose(ours, ref, atol=1e-6)

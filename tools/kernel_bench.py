@@ -15,7 +15,12 @@ fixed shapes and seeded data:
   defaults (median-heuristic bandwidth, eta = 10, epsilon = eta / sqrt(n)),
   for n in {300, 750, 1500} and shift in {0.5, 1.0}, with the solve's step
   count. At shift 0.5 about half the weights are free of the box; at 1.0
-  about 90% sit at zero.
+  about 90% sit at zero;
+- ``stage1_solve``: one stage-1 Newton solve at ``mr.LAMBDA_MIN`` with an
+  intercept, on the margins of M = 4 cluster models plus the all-segments
+  model, each the true logits plus N(0, 1) noise: a logistic
+  ``fit_linear`` on n = 150 rows of those 5 columns, and a shared-softmax
+  ``mr._solve_shared_softmax`` over K = 3 classes for n in {140, 3000}.
 
 Each figure is the per-call time in microseconds: the median and the
 minimum over 7 repeats of a loop that runs for at least 0.1 s. Run from
@@ -36,7 +41,7 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from segshift.learners import LossKind, fit_gbt  # noqa: E402
+from segshift.learners import LOGISTIC, LossKind, fit_gbt, fit_linear, softmax_loss  # noqa: E402
 from segshift.learners.gbt import (  # noqa: E402
     _bin_features,
     _histogram,
@@ -44,6 +49,7 @@ from segshift.learners.gbt import (  # noqa: E402
     _TreeGrower,
     cluster_base_config,
 )
+from segshift.mr import LAMBDA_MIN, _solve_shared_softmax  # noqa: E402
 from segshift.segmentation import KernelSpec, gram  # noqa: E402
 from segshift.weights import DEFAULT_ETA, _kmm_solve  # noqa: E402
 
@@ -115,10 +121,26 @@ def kmm_kernel(n, shift, d=5):
     return {"kernel": "kmm_solve", **shape, "steps": len(history) - 1, **timing}
 
 
+def stage1_kernel(n, k, n_models=5):
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(n, max(k, 2))) * 1.5
+    y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
+    shape = {"n": n, "models": n_models, "classes": max(k, 2)}
+    if k == 1:
+        h = (logits[:, 1] - logits[:, 0])[:, None] + rng.normal(size=(n, n_models))
+        timing = per_call_us(lambda: fit_linear(h, y, LOGISTIC, l2=LAMBDA_MIN))
+        return {"kernel": "stage1_solve", "loss": "logistic", **shape, **timing}
+    h = logits[:, None, :] + rng.normal(size=(n, n_models, k))
+    loss = softmax_loss(k)
+    timing = per_call_us(lambda: _solve_shared_softmax(h, y, loss, LAMBDA_MIN, True))
+    return {"kernel": "stage1_solve", "loss": "softmax", **shape, **timing}
+
+
 def main():
     results = [r for n in (1000, 8000) for d in (4, 5) for r in node_kernels(n, d)]
     results += [r for d in (4, 5) for r in forest_kernels(d)]
     results += [kmm_kernel(n, shift) for shift in (0.5, 1.0) for n in (300, 750, 1500)]
+    results += [stage1_kernel(150, 1), stage1_kernel(140, 3), stage1_kernel(3000, 3)]
     machine = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
