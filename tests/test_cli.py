@@ -213,24 +213,24 @@ def test_cluster_command_matches_plan_fit(tmp_path, monkeypatch):
     # over 1,000 pooled rows the median bandwidth subsamples with the seed,
     # so the command must seed the distance matrix the way plan_fit does
     run(simulate_args(tmp_path, n_train=1500, segments=4, seed=2))
-    argv = ["--seed", "5", "--max-per-segment", "300", "--threads", "1"]
+    flags = ["--seed", "5", "--max-per-segment", "300", "--threads", "1"]
     code = run([
         "cluster",
         "--train", str(tmp_path / "train.csv"),
         "--task", "regression",
         "--out", str(tmp_path / "clusters.json"),
-        *argv,
+        *flags,
     ])
     assert code == 0
     doc = json.loads((tmp_path / "clusters.json").read_text())
 
     seen = []
+    distance_matrix = mr.segment_distance_matrix
 
     def recording(*args, **kwargs):
-        seen.append(mr_distance(*args, **kwargs))
+        seen.append(distance_matrix(*args, **kwargs))
         return seen[-1]
 
-    mr_distance = mr.segment_distance_matrix
     monkeypatch.setattr(mr, "segment_distance_matrix", recording)
     task = TaskKind.regression()
     train = load_csv(tmp_path / "train.csv", "y", "__segment__", task)

@@ -121,17 +121,17 @@ def kmm_kernel(n, shift, d=5):
     return {"kernel": "kmm_solve", **shape, "steps": len(history) - 1, **timing}
 
 
-def stage1_kernel(n, k, n_models=5):
+def stage1_kernel(n, classes, n_models=5):
     rng = np.random.default_rng(5)
-    logits = rng.normal(size=(n, max(k, 2))) * 1.5
+    logits = rng.normal(size=(n, classes)) * 1.5
     y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
-    shape = {"n": n, "models": n_models, "classes": max(k, 2)}
-    if k == 1:
+    shape = {"n": n, "models": n_models, "classes": classes}
+    if classes == 2:
         h = (logits[:, 1] - logits[:, 0])[:, None] + rng.normal(size=(n, n_models))
         timing = per_call_us(lambda: fit_linear(h, y, LOGISTIC, l2=LAMBDA_MIN))
         return {"kernel": "stage1_solve", "loss": "logistic", **shape, **timing}
-    h = logits[:, None, :] + rng.normal(size=(n, n_models, k))
-    loss = softmax_loss(k)
+    h = logits[:, None, :] + rng.normal(size=(n, n_models, classes))
+    loss = softmax_loss(classes)
     timing = per_call_us(lambda: _solve_shared_softmax(h, y, loss, LAMBDA_MIN, True))
     return {"kernel": "stage1_solve", "loss": "softmax", **shape, **timing}
 
@@ -140,7 +140,7 @@ def main():
     results = [r for n in (1000, 8000) for d in (4, 5) for r in node_kernels(n, d)]
     results += [r for d in (4, 5) for r in forest_kernels(d)]
     results += [kmm_kernel(n, shift) for shift in (0.5, 1.0) for n in (300, 750, 1500)]
-    results += [stage1_kernel(150, 1), stage1_kernel(140, 3), stage1_kernel(3000, 3)]
+    results += [stage1_kernel(150, 2), stage1_kernel(140, 3), stage1_kernel(3000, 3)]
     machine = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
