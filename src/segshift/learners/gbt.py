@@ -1,9 +1,11 @@
 """Second-order gradient boosted trees with histogram splits and base margins.
 
-Rows are binned once into per-feature quantile bins; each round fits one
-regression tree (K trees for softmax, one per class) to the gradient and
-hessian of the loss at the current margin. Split gain and leaf values use
-the standard second-order formulas with an L2 leaf penalty.
+Rows are binned once into per-feature quantile bins, keeping only the bins
+that training values fall in (LightGBM likewise gives a column no more bins
+than it has distinct values); each round fits one regression tree (K trees
+for softmax, one per class) to the gradient and hessian of the loss at the
+current margin. Split gain and leaf values use the standard second-order
+formulas with an L2 leaf penalty.
 
 A node's split search reads a per-bin histogram of its rows. Only the
 smaller child of a split gets one built from its rows; its sibling's is
@@ -375,7 +377,13 @@ class GBTModel:
 
 
 def _bin_features(x: np.ndarray, n_bins: int):
-    """Quantile bin edges per feature and the binned integer codes."""
+    """Quantile bin edges per feature and the binned integer codes.
+
+    A column gets no more bins than its training values fill: an edge is
+    kept only where the bin that ends at it holds a value. A bin empty of
+    training rows is empty in every node, so its split would tie exactly
+    with the one an edge earlier, which the split search picks anyway.
+    """
     n, d = x.shape
     qs = np.arange(1, n_bins) / n_bins
     edges = []
@@ -385,8 +393,12 @@ def _bin_features(x: np.ndarray, n_bins: int):
         e = np.unique(np.quantile(col, qs))
         # drop edges below every value or above every value: they split nothing
         e = e[(e > col.min()) & (e <= col.max())]
-        edges.append(e)
-        codes[:, j] = np.searchsorted(e, col, side="right")
+        code = np.searchsorted(e, col, side="right")
+        # keep each e[k] whose bin [e[k - 1], e[k]) holds a value; bin 0
+        # holds the column's minimum, so e[0] stays
+        keep = np.bincount(code, minlength=len(e) + 1)[: len(e)] > 0
+        edges.append(e[keep])
+        codes[:, j] = np.concatenate([[0], np.cumsum(keep)])[code]
     return edges, codes
 
 

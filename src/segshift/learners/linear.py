@@ -1,19 +1,17 @@
 """Linear models fit by exact solve (squared loss) or damped Newton.
 
 The objective is the *sum* of weighted per-sample losses plus an L2 term
-``(l2 / 2) * ||coef||^2``; the intercept is never penalized. Squared loss
-solves its normal equations by Cholesky. Logistic ``fit_linear`` and the
-shared-softmax stacking of ``mr`` both call ``fit_glm``, one GLM over a
-design matrix with a row per (sample, class) pair, whose gradient and
-Hessian run the one ``newton`` loop: each iteration adds ``JITTER`` to the
-Hessian diagonal, solves for the step by LU (``np.linalg.solve``; the
-softmax intercepts leave the Hessian singular, which Cholesky rejects),
-takes the least-squares step instead when LU finds the Hessian exactly
-singular (duplicated columns), and halves the step up to ``MAX_HALVINGS``
-times until the objective does not rise. It stops when the gradient norm
-is at most ``GRAD_TOL`` (converged), after ``MAX_NEWTON_ITER`` iterations,
-or when no halving helps; the last two warn that the solve did not
-converge.
+``(l2 / 2) * ||coef||^2``; the intercept is never penalized. ``fit_linear``
+and the stacking of ``mr`` both call ``fit_glm``, one GLM over a design
+matrix with a row per (sample, class) pair. Squared loss solves its normal
+equations by Cholesky. Logistic and softmax run the one ``newton`` loop on
+the GLM's gradient and Hessian: each iteration adds ``JITTER`` to the
+Hessian diagonal, solves for the step by LU (``np.linalg.solve``), takes the
+least-squares step instead when LU finds the Hessian exactly singular
+(duplicated columns), and halves the step up to ``MAX_HALVINGS`` times until
+the objective does not rise. It stops when the gradient norm is at most
+``GRAD_TOL`` (converged), after ``MAX_NEWTON_ITER`` iterations, or when no
+halving helps; the last two warn that the solve did not converge.
 """
 
 import warnings
@@ -61,26 +59,13 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, l2: float) -> np.ndarray:
         raise
 
 
-def _fit_squared(x, y, l2, w, fit_intercept):
-    n, d = x.shape
-    if fit_intercept:
-        xa = np.hstack([x, np.ones((n, 1))])
-    else:
-        xa = x
-    a = xa.T @ (xa * w[:, None])
-    a[np.arange(d), np.arange(d)] += l2
-    b = xa.T @ (w * y)
-    sol = _solve_spd(a, b, l2)
-    coef = sol[:d]
-    intercept = sol[d] if fit_intercept else np.float64(0.0)
-    return coef, np.asarray(intercept)
-
-
 def newton(objective, grad_hess, theta0: np.ndarray):
     """Minimize a smooth convex ``objective`` by the damped Newton rule above.
 
     ``grad_hess(theta)`` returns the gradient and a fresh Hessian, which
-    this function may modify. Returns ``(theta, converged)``.
+    this function may modify. Returns ``(theta, converged, hess)``: ``hess``
+    is the Hessian of the last convergence test, at ``theta`` when the solve
+    converged (with ``JITTER`` added when it did not).
     """
     theta = theta0
     obj = objective(theta)
@@ -88,7 +73,7 @@ def newton(objective, grad_hess, theta0: np.ndarray):
         grad, hess = grad_hess(theta)
         grad_norm = np.linalg.norm(grad)
         if grad_norm <= GRAD_TOL:
-            return theta, True
+            return theta, True, hess
         hess[np.diag_indices_from(hess)] += JITTER
         try:
             step = np.linalg.solve(hess, grad)
@@ -110,17 +95,25 @@ def newton(objective, grad_hess, theta0: np.ndarray):
     warnings.warn(
         f"Newton solve did not converge ({reason}; gradient norm {grad_norm:.3g} > {GRAD_TOL:g})"
     )
-    return theta, False
+    return theta, False, hess
 
 
-def fit_glm(design, y, loss, l2, w, n_penalized):
-    """Newton fit of a logistic or softmax GLM; returns the parameter vector.
+def fit_glm(design, y, loss, l2, w, n_penalized, theta0=None):
+    """Fit a squared, logistic or softmax GLM; returns ``(theta, hess)``.
 
     ``design`` has one row per (sample, class) pair, sample-major, so the
     margins are ``(design @ theta).reshape(n, K)`` (a flat ``(n,)`` vector
-    for logistic, K = 1). ``w`` holds the n sample weights, and the L2 term
-    covers the first ``n_penalized`` parameters.
+    for squared and logistic loss, K = 1). ``w`` holds the n sample weights,
+    and the L2 term covers the first ``n_penalized`` parameters. Squared
+    loss solves the normal equations; the others run ``newton`` from
+    ``theta0`` (zeros by default). ``hess`` is the penalised Hessian: the
+    normal matrix for squared loss, else the one ``newton`` built for its
+    last convergence test.
     """
+    if loss.name == "squared":
+        hess = design.T @ (design * w[:, None])
+        hess[np.arange(n_penalized), np.arange(n_penalized)] += l2
+        return _solve_spd(hess, design.T @ (w * y), l2), hess
     k = loss.margin_width
     n = len(y)
     w_rows = np.repeat(w, k)
@@ -149,8 +142,10 @@ def fit_glm(design, y, loss, l2, w, n_penalized):
         hess[np.arange(n_penalized), np.arange(n_penalized)] += l2
         return grad, hess
 
-    theta, _ = newton(objective, grad_hess, np.zeros(design.shape[1]))
-    return theta
+    theta, _, hess = newton(
+        objective, grad_hess, np.zeros(design.shape[1]) if theta0 is None else theta0
+    )
+    return theta, hess
 
 
 def fit_linear(
@@ -163,9 +158,9 @@ def fit_linear(
 ) -> LinearModel:
     """Fit a linear model for squared or logistic loss.
 
-    Squared loss is solved exactly; logistic loss runs ``fit_glm`` on ``x``
-    with an intercept column. ``sample_weight`` multiplies per-sample losses
-    and must be nonnegative.
+    Runs ``fit_glm`` on ``x``, with an intercept column when
+    ``fit_intercept``. ``sample_weight`` multiplies per-sample losses and
+    must be nonnegative.
     """
     if loss.name not in ("squared", "logistic"):
         raise ValueError(f"fit_linear supports squared and logistic loss, not {loss.name}")
@@ -182,13 +177,10 @@ def fit_linear(
     if np.any(w < 0):
         raise ValueError("sample weights must be nonnegative")
 
-    if loss.name == "squared":
-        coef, intercept = _fit_squared(x, y, l2, w, fit_intercept)
-    else:
-        d = x.shape[1]
-        design = np.hstack([x, np.ones((n, 1))]) if fit_intercept else x
-        theta = fit_glm(design, y, loss, l2, w, n_penalized=d)
-        coef, intercept = theta[:d], np.asarray(theta[d] if fit_intercept else 0.0)
+    d = x.shape[1]
+    design = np.hstack([x, np.ones((n, 1))]) if fit_intercept else x
+    theta, _ = fit_glm(design, y, loss, l2, w, n_penalized=d)
+    coef, intercept = theta[:d], np.asarray(theta[d] if fit_intercept else 0.0)
     if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(intercept))):
         raise ValueError("linear fit produced non-finite parameters")
     return LinearModel(coef=coef, intercept=intercept, loss=loss, l2=l2)

@@ -4,9 +4,9 @@ The pipeline: split training rows into base/tune folds, cluster segments by
 joint-distribution distance, train one boosted model per cluster plus one
 on all segments, then per segment (a) estimate importance weights against
 that segment's test rows, (b) fit a linear combination of the base-model
-margins on the tune fold (optionally constrained to the unit ball via a
-ridge-path bisection), and (c) refine with a small weighted boosted model
-that treats the stage-1 margin as its base margin. A segment unseen at fit
+margins on the tune fold (optionally constrained to the unit ball by a
+warm-started Newton path in the ridge penalty), and (c) refine with a small
+weighted boosted model that treats the stage-1 margin as its base margin. A segment unseen at fit
 time gets the all-segments base model's prediction.
 
 Also provides the standalone pooled baselines: a global model refined with
@@ -31,7 +31,6 @@ from .learners import (
     LossKind,
     cluster_base_config,
     fit_gbt,
-    fit_linear,
     losses,
     refine_config,
 )
@@ -60,6 +59,12 @@ BALL_TOL = 1e-3
 # KMM builds an n x n float64 Gram over a segment's rows: 800 MB at this many
 # rows, 3.2 GB at twice as many. A larger segment fails before the Gram.
 KMM_MAX_ROWS = 10_000
+
+
+def _check_lambda_max(lambda_max: float) -> None:
+    """Reject a ``lambda_max`` that leaves stage 1's path no finite upper end."""
+    if not LAMBDA_MIN < lambda_max < np.inf:
+        raise ValueError(f"lambda_max must be finite and above {LAMBDA_MIN:g}, got {lambda_max!r}")
 
 
 def task_loss(task: TaskKind) -> LossKind:
@@ -120,6 +125,7 @@ class MRConfig:
             )
         if not 0.0 < self.varsigma < 1.0:
             raise ValueError("varsigma must be in (0, 1)")
+        _check_lambda_max(self.lambda_max)
 
     @property
     def resolved_weight_method(self) -> str:
@@ -291,7 +297,11 @@ class Stage1Model:
 
 
 def _check_stage1(stage1: Stage1Model, n_models: int, loss: LossKind, role: str) -> Stage1Model:
-    """``stage1``, once it has one finite weight per base model and a finite intercept per class."""
+    """``stage1``, once its beta, intercepts and ``lambda_used`` fit the model and are finite.
+
+    It needs one weight per base model, one intercept per class and a
+    positive ``lambda_used``.
+    """
     intercept_shape = () if loss.margin_width == 1 else (loss.margin_width,)
     if stage1.beta.shape != (n_models,) or stage1.intercept.shape != intercept_shape:
         raise ValueError(
@@ -300,29 +310,55 @@ def _check_stage1(stage1: Stage1Model, n_models: int, loss: LossKind, role: str)
         )
     if not (np.isfinite(stage1.beta).all() and np.isfinite(stage1.intercept).all()):
         raise ValueError(f"{role} stage 1 beta or intercept is not finite")
+    if not 0.0 < stage1.lambda_used < np.inf:
+        raise ValueError(f"{role} stage 1 lambda_used {stage1.lambda_used!r} is not finite and positive")
     return stage1
 
 
-def _solve_shared_softmax(h, y, loss, l2, fit_intercept):
-    """Fit margins z_ik = sum_m beta_m h_imk + c_k, with L2 on beta, by ``fit_glm``.
+def _stage1_design(h, loss, fit_intercept):
+    """The stacking GLM's design over stacked base margins ``h``.
 
-    The design has one row per (sample, class) pair: class k's base margins
-    h[i, :, k], then the indicator e_k when the intercept is fit.
+    Squared and logistic loss: h's columns, then a column of ones for the
+    intercept. Softmax: one row per (sample, class) pair, class k's base
+    margins h[i, :, k], then, with the intercept, the indicators of the
+    first K - 1 classes. The last class's intercept is pinned at 0: one
+    common shift of every intercept leaves the softmax unchanged, and
+    without the pin the Hessian is singular along it, so rounding would set
+    the stored intercepts' level.
     """
-    n, n_models, k = h.shape
+    n, n_models = h.shape[:2]
+    if loss.name != "softmax":
+        return np.hstack([h, np.ones((n, 1))]) if fit_intercept else h
+    k = h.shape[2]
     design = h.transpose(0, 2, 1).reshape(n * k, n_models)
     if fit_intercept:
-        design = np.hstack([design, np.tile(np.eye(k), (n, 1))])
-    theta = fit_glm(design, y, loss, l2, np.ones(n), n_penalized=n_models)
-    c = theta[n_models:] if fit_intercept else np.zeros(k)
-    return theta[:n_models], np.asarray(c)
+        design = np.hstack([design, np.tile(np.eye(k)[:, :-1], (n, 1))])
+    return design
 
 
-def _solve_stage1(h, y, loss, l2, fit_intercept):
-    if loss.name == "softmax":
-        return _solve_shared_softmax(h, y, loss, l2, fit_intercept)
-    lm = fit_linear(h, y, loss, l2=l2, fit_intercept=fit_intercept)
-    return lm.coef, np.asarray(lm.intercept)
+def _stage1_model(theta, loss, n_models, fit_intercept, lambda_used, ball_warning=False):
+    """The ``Stage1Model`` of the stacking GLM's parameters ``theta``."""
+    if loss.name != "softmax":
+        intercept = np.asarray(theta[n_models] if fit_intercept else 0.0)
+    elif fit_intercept:
+        intercept = np.append(theta[n_models:], 0.0)
+    else:
+        intercept = np.zeros(loss.margin_width)
+    return Stage1Model(
+        beta=theta[:n_models], intercept=intercept, lambda_used=lambda_used, ball_warning=ball_warning
+    )
+
+
+def _solve_shared_softmax(h, y, loss, l2, fit_intercept):
+    """(beta, intercepts) of one shared-softmax stacking solve at ``l2``.
+
+    Fits margins z_ik = sum_m beta_m h_imk + c_k, with L2 on beta and c_K = 0,
+    by ``fit_glm`` over ``_stage1_design``.
+    """
+    n_models = h.shape[1]
+    theta, _ = fit_glm(_stage1_design(h, loss, fit_intercept), y, loss, l2, np.ones(len(y)), n_models)
+    s1 = _stage1_model(theta, loss, n_models, fit_intercept, l2)
+    return s1.beta, s1.intercept
 
 
 def fit_stage1(
@@ -335,43 +371,79 @@ def fit_stage1(
 ) -> Stage1Model:
     """Linear combination of base-model margins fit on one segment's tune rows.
 
-    With ``ball`` enabled and the near-unpenalized solution outside the unit
-    ball, bisects log-lambda until ||beta|| lands in [1 - 1e-3, 1]; if even
-    ``lambda_max`` cannot pull it inside, that solution is returned with
-    ``ball_warning`` set. The intercept is unpenalized and excluded from
-    the norm. ``margins`` may pass precomputed ``ensemble.margins(x)``.
+    The stacking is one GLM (``fit_glm``) with an L2 penalty lambda on the
+    weights beta; the intercept is unpenalized and outside the norm. The
+    first solve is at ``LAMBDA_MIN``. With ``ball`` enabled and ||beta|| > 1
+    there, a path in lambda pulls ||beta|| into [1 - BALL_TOL, 1]. Each step
+    is Newton's on phi(lambda) = 1/||beta(lambda)|| - 1/(1 - BALL_TOL/2), the
+    secular-equation step of More & Sorensen (1983): phi is concave, so
+    Newton approaches its root from below, and it aims at the middle of the
+    band to land inside it. dbeta/dlambda solves H theta' = -[beta; 0] with
+    the penalised Hessian H of the last solve, and each solve starts from
+    the previous one's parameters. The step is safeguarded by a bracket: the
+    largest lambda solved with ||beta|| > 1 and the smallest with
+    ||beta|| <= 1 (``lambda_max`` before there is one). A step that leaves
+    the bracket takes the geometric mean of its ends; one that reaches
+    ``lambda_max`` solves there, and if ||beta|| > 1 even there, that
+    solution is returned with ``ball_warning`` set. After 60 steps the
+    bracket's upper solution is returned. ``margins`` may pass precomputed
+    ``ensemble.margins(x)``.
     """
     x, y = tune_segment
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < ensemble.n_models + 1:
+    n_models = ensemble.n_models
+    if x.shape[0] < n_models + 1:
         raise DataError(
-            f"need at least {ensemble.n_models + 1} tune rows to stack "
-            f"{ensemble.n_models} base models, got {x.shape[0]}"
+            f"need at least {n_models + 1} tune rows to stack "
+            f"{n_models} base models, got {x.shape[0]}"
         )
+    if ball:
+        _check_lambda_max(lambda_max)
     h = ensemble.margins(x) if margins is None else margins
     loss = ensemble.loss
+    y = np.asarray(y, dtype=np.float64)
+    design = _stage1_design(h, loss, fit_intercept)
+    w = np.ones(len(y))
 
-    beta, intr = _solve_stage1(h, y, loss, LAMBDA_MIN, fit_intercept)
-    if not ball or np.linalg.norm(beta) <= 1.0:
-        return Stage1Model(beta=beta, intercept=intr, lambda_used=LAMBDA_MIN)
+    def result(theta, lam, ball_warning=False):
+        return _stage1_model(theta, loss, n_models, fit_intercept, lam, ball_warning)
 
-    beta_hi, intr_hi = _solve_stage1(h, y, loss, lambda_max, fit_intercept)
-    if np.linalg.norm(beta_hi) > 1.0:
-        warnings.warn("unit-ball bisection hit lambda_max; returning that solution")
-        return Stage1Model(
-            beta=beta_hi, intercept=intr_hi, lambda_used=lambda_max, ball_warning=True
-        )
-    lo, hi = LAMBDA_MIN, lambda_max
-    for _ in range(60):
-        if 1.0 - BALL_TOL <= np.linalg.norm(beta_hi) <= 1.0:
-            break
-        mid = float(np.sqrt(lo * hi))
-        beta_mid, intr_mid = _solve_stage1(h, y, loss, mid, fit_intercept)
-        if np.linalg.norm(beta_mid) > 1.0:
-            lo = mid
+    lam = LAMBDA_MIN
+    theta, hess = fit_glm(design, y, loss, lam, w, n_models)
+    norm = np.linalg.norm(theta[:n_models])
+    if not ball or norm <= 1.0:
+        return result(theta, lam)
+    target = 1.0 / (1.0 - BALL_TOL / 2)
+    lo, hi, inside = LAMBDA_MIN, lambda_max, None  # inside: the solve at hi, once there is one
+    steps = 60
+    for step in range(steps):
+        beta = theta[:n_models]
+        try:
+            dtheta = np.linalg.solve(hess, -np.append(beta, np.zeros(len(theta) - n_models)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = -(beta @ dtheta[:n_models]) / norm**3
+                lam_next = lam - (1.0 / norm - target) / slope
+        except np.linalg.LinAlgError:
+            lam_next = np.nan
+        if inside is None and (lam_next >= lambda_max or step == steps - 1):
+            # hi is still lambda_max, unsolved: a step that reaches it, or
+            # the last step, solves there
+            lam_next = lambda_max
+        elif not lo < lam_next < hi:
+            lam_next = float(np.sqrt(lo * hi))
+        lam = float(lam_next)
+        theta, hess = fit_glm(design, y, loss, lam, w, n_models, theta)
+        norm = np.linalg.norm(theta[:n_models])
+        if norm > 1.0:
+            if lam == lambda_max:
+                warnings.warn("unit-ball bisection hit lambda_max; returning that solution")
+                return result(theta, lam, ball_warning=True)
+            lo = lam
+        elif norm >= 1.0 - BALL_TOL:
+            return result(theta, lam)
         else:
-            hi, beta_hi, intr_hi = mid, beta_mid, intr_mid
-    return Stage1Model(beta=beta_hi, intercept=intr_hi, lambda_used=hi)
+            hi, inside = lam, theta
+    return result(inside, hi)
 
 
 def fit_stage2(

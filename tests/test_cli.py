@@ -355,6 +355,30 @@ def test_non_finite_gbt_setting_exit_2(tmp_path, capsys, command, setting):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "cv"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_lambda_max_without_a_finite_bracket_exit_2(tmp_path, capsys, command, value):
+    # unchecked, a NaN or infinite lambda_max fits a constant model (beta = 0)
+    # and the others fail mid-fit with runtime errors
+    run(simulate_args(tmp_path, n_train=200, n_test=100, segments=2))
+    setting = [f"--lambda-max={value}"]
+    if command == "fit":
+        argv = fit_args(tmp_path, extra=setting)
+    else:
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"base": {"n_estimators": [3]}}))
+        argv = [
+            "cv",
+            "--train", str(tmp_path / "train.csv"),
+            "--test", str(tmp_path / "test.csv"),
+            "--grid", str(grid),
+            "--out", str(tmp_path / "cv.json"),
+            *setting,
+        ]
+    assert run(argv) == 2
+    assert "lambda_max must be finite" in capsys.readouterr().err
+
+
 def test_full_chain_byte_deterministic(tmp_path):
     # simulate + fit + evaluate twice: identical model.json and report.json
     outputs = []
@@ -479,14 +503,30 @@ def _short_stage1_beta(doc):
     next(iter(doc["segments"].values()))["stage1"]["beta"].pop()
 
 
+def _nan_lambda_used(doc):
+    next(iter(doc["segments"].values()))["stage1"]["lambda_used"] = float("nan")
+
+
+def _zero_lambda_used(doc):
+    next(iter(doc["segments"].values()))["stage1"]["lambda_used"] = 0.0
+
+
+def _infinite_lambda_max(doc):
+    doc["config"]["lambda_max"] = float("inf")
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_nan_leaf, "threshold or value is not finite"),
         (_infinite_init_margin, "init_margin is not finite"),
         (_short_stage1_beta, "stage 1 has beta shape"),
+        (_nan_lambda_used, "lambda_used nan is not finite and positive"),
+        (_zero_lambda_used, "lambda_used 0.0 is not finite and positive"),
+        (_infinite_lambda_max, "lambda_max must be finite"),
     ],
-    ids=["nan-leaf", "infinite-init-margin", "short-stage1-beta"],
+    ids=["nan-leaf", "infinite-init-margin", "short-stage1-beta", "nan-lambda-used",
+         "zero-lambda-used", "infinite-lambda-max"],
 )
 def test_predict_model_with_bad_numbers_exit_2(tmp_path, capsys, corrupt, message):
     # JSON's NaN and Infinity parse, and a short beta only fails at predict time

@@ -125,7 +125,7 @@ def test_softmax_linear_recovers_separation():
     x = np.vstack([rng.normal(c, 0.5, size=(60, 2)) for c in centers])
     y = np.repeat([0, 1, 2], 60)
     design = _per_class_design(x, 3, True)
-    theta = fit_glm(design, y, SOFT, 1e-3, np.ones(len(y)), n_penalized=2 * 3)
+    theta, _ = fit_glm(design, y, SOFT, 1e-3, np.ones(len(y)), n_penalized=2 * 3)
     pred = np.argmax((design @ theta).reshape(-1, 3), axis=1)
     assert (pred == y).mean() > 0.97
 
@@ -194,7 +194,7 @@ def test_fit_linear_matches_lbfgs_reference(loss, fit_intercept):
         model = fit_linear(x, y, loss, l2=0.7, sample_weight=w, fit_intercept=fit_intercept)
         ours_coef, ours_b = model.coef.reshape(d, k), model.intercept
     else:
-        theta = fit_glm(_per_class_design(x, k, fit_intercept), y, loss, 0.7, w, n_penalized=d * k)
+        theta, _ = fit_glm(_per_class_design(x, k, fit_intercept), y, loss, 0.7, w, n_penalized=d * k)
         theta = theta.reshape(d + fit_intercept, k)
         ours_coef, ours_b = theta[:d], (theta[d] if fit_intercept else np.zeros(k))
     coef, b = _reference_glm(x, y, k, 0.7, w, fit_intercept)
@@ -213,7 +213,7 @@ def test_newton_flags_an_unbounded_objective():
         return np.array([-1.0]), np.zeros((1, 1))
 
     with pytest.warns(UserWarning, match="^Newton solve did not converge"):
-        theta, converged = newton(lambda t: -float(t[0]), grad_hess, np.zeros(1))
+        theta, converged, _ = newton(lambda t: -float(t[0]), grad_hess, np.zeros(1))
     assert not converged
     assert len(calls) == MAX_NEWTON_ITER
     assert theta[0] > 0
@@ -222,10 +222,11 @@ def test_newton_flags_an_unbounded_objective():
 def test_newton_converges_on_a_quadratic_without_warning(recwarn):
     a = np.array([[3.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, -1.0])
-    theta, converged = newton(
+    theta, converged, hess = newton(
         lambda t: 0.5 * float(t @ a @ t) - float(b @ t), lambda t: (a @ t - b, a.copy()), np.zeros(2)
     )
     assert converged
+    np.testing.assert_array_equal(hess, a)
     np.testing.assert_allclose(theta, np.linalg.solve(a, b), atol=1e-8)
     assert not [w for w in recwarn if "Newton" in str(w.message)]
 
@@ -821,3 +822,42 @@ def test_training_margin_equals_walk_of_fitted_trees(monkeypatch, loss):
         np.testing.assert_array_equal(got, margin[:, 0] if width == 1 else margin)
         for i in range(r * width, (r + 1) * width):
             margin[:, model.trees.class_k[i]] += walk(tree(model.trees, i), xc)
+
+
+def _quantile_bins(x, n_bins):
+    """Quantile edges per feature without merging bins that no training value falls in."""
+    qs = np.arange(1, n_bins) / n_bins
+    edges = []
+    codes = np.empty(x.shape, dtype=np.int32)
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        e = np.unique(np.quantile(col, qs))
+        e = e[(e > col.min()) & (e <= col.max())]
+        edges.append(e)
+        codes[:, j] = np.searchsorted(e, col, side="right")
+    return edges, codes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("loss", [SQ, LOG, SOFT], ids=["squared", "logistic", "softmax"])
+def test_bins_only_where_values_fall_keep_every_tree(monkeypatch, loss, seed):
+    from segshift.learners import gbt
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 61))
+    # few distinct values per column, so values tie and quantile edges crowd between them
+    x = rng.integers(0, [3, 6, 12, n], size=(n, 4)) * 0.5
+    y = {"squared": rng.normal(size=n), "logistic": rng.integers(0, 2, size=n),
+         "softmax": rng.integers(0, 3, size=n)}[loss.name]
+    w = rng.uniform(0.2, 3.0, size=n)
+    margin = rng.normal(size=(n, loss.margin_width)).squeeze()
+    cfg = GBTConfig(n_estimators=8, max_depth=3, subsample=0.8, colsample_bytree=0.5,
+                    min_child_weight=0.1, seed=seed)
+    edges, _ = gbt._bin_features(x, cfg.n_bins)
+    assert max(len(e) + 1 for e in edges) <= n
+    fitted = fit_gbt(x, y, loss, cfg, sample_weight=w, base_margin=margin)
+    assert (fitted.trees.feature >= 0).sum() >= 8
+    monkeypatch.setattr(gbt, "_bin_features", _quantile_bins)
+    reference = fit_gbt(x, y, loss, cfg, sample_weight=w, base_margin=margin)
+    assert json.dumps(fitted.to_dict()) == json.dumps(reference.to_dict())
+    assert sum(len(e) for e in _quantile_bins(x, cfg.n_bins)[0]) > sum(len(e) for e in edges)

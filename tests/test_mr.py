@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from segshift import (
@@ -22,9 +24,18 @@ from segshift import (
     uniform_weights,
 )
 from segshift.data import DataError
-from segshift.learners import LossKind, losses
+from segshift import mr
+from segshift.learners import LOGISTIC, LossKind, fit_linear, linear, losses
 from segshift.learners.linear import LinearModel
-from segshift.mr import BaseEnsemble, FitStages, SegmentModel, Stage1Model, _solve_shared_softmax
+from segshift.mr import (
+    BALL_TOL,
+    LAMBDA_MIN,
+    BaseEnsemble,
+    FitStages,
+    SegmentModel,
+    Stage1Model,
+    _solve_shared_softmax,
+)
 
 SQ = LossKind("squared")
 
@@ -196,6 +207,185 @@ def test_shared_softmax_matches_lbfgs_reference(n, fit_intercept, l2):
     np.testing.assert_allclose(beta, ref_beta, atol=1e-6)
     # one shift of every class intercept leaves the margins' softmax unchanged
     np.testing.assert_allclose(c - c.mean(), ref_c - ref_c.mean(), atol=1e-6)
+
+
+def test_shared_softmax_intercepts_do_not_depend_on_row_order():
+    # c_K = 0 pins the one common shift of the intercepts that the softmax
+    # cannot see, so rounding has no singular direction to move them along
+    for n in (140, 500, 3000):
+        rng = np.random.default_rng(n)
+        logits = rng.normal(size=(n, 3)) * 1.5
+        y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
+        h = logits[:, None, :] + rng.normal(size=(n, 4, 3))
+        perm = rng.permutation(n)
+        loss = losses.softmax_loss(3)
+        beta, c = _solve_shared_softmax(h, y, loss, LAMBDA_MIN, True)
+        beta_p, c_p = _solve_shared_softmax(h[perm], y[perm], loss, LAMBDA_MIN, True)
+        np.testing.assert_allclose(beta_p, beta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c_p, c, rtol=0, atol=1e-12)
+        assert c[-1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the unit-ball path of fit_stage1 against a reference bisection
+
+
+def _cold_solve(h, y, loss, l2, fit_intercept=True):
+    """(beta, intercept) of one stage-1 solve at ``l2`` from zero."""
+    if loss.name == "softmax":
+        return _solve_shared_softmax(h, y, loss, l2, fit_intercept)
+    lm = fit_linear(h, y, loss, l2=l2, fit_intercept=fit_intercept)
+    return lm.coef, lm.intercept
+
+
+def _reference_bisection(h, y, loss, lambda_max, fit_intercept=True):
+    """The unit-ball search by bisection in log lambda, with cold solves.
+
+    Returns (beta, lambda, ball_warning), as ``fit_stage1`` did before its
+    Newton path: a solve at ``LAMBDA_MIN``, one at ``lambda_max``, then up
+    to 60 geometric-mean solves.
+    """
+    beta, _ = _cold_solve(h, y, loss, LAMBDA_MIN, fit_intercept)
+    if np.linalg.norm(beta) <= 1.0:
+        return beta, LAMBDA_MIN, False
+    beta_hi, _ = _cold_solve(h, y, loss, lambda_max, fit_intercept)
+    if np.linalg.norm(beta_hi) > 1.0:
+        return beta_hi, lambda_max, True
+    lo, hi = LAMBDA_MIN, lambda_max
+    for _ in range(60):
+        if 1.0 - BALL_TOL <= np.linalg.norm(beta_hi) <= 1.0:
+            break
+        mid = float(np.sqrt(lo * hi))
+        beta_mid, _ = _cold_solve(h, y, loss, mid, fit_intercept)
+        if np.linalg.norm(beta_mid) > 1.0:
+            lo = mid
+        else:
+            hi, beta_hi = mid, beta_mid
+    return beta_hi, hi, False
+
+
+def _stacking_problem(loss, n, n_models, seed, scale=0.3, noise=0.3):
+    """Base margins of ``n_models`` noisy, shrunk copies of the true margin.
+
+    Each margin is ``scale`` times the truth plus N(0, noise^2), so a
+    combination needs weights well outside the unit ball to undo the shrink.
+    """
+    rng = np.random.default_rng(seed)
+    k = max(loss.margin_width, 2)
+    if loss.name == "squared":
+        truth = rng.normal(size=n) * 2.0
+        y = truth + rng.normal(0, 0.5, size=n)
+    else:
+        logits = rng.normal(size=(n, k)) * 1.5
+        y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
+        truth = logits[:, 1] - logits[:, 0] if loss.margin_width == 1 else logits
+    if loss.margin_width == 1:
+        h = scale * truth[:, None] + rng.normal(0, noise, size=(n, n_models))
+    else:
+        h = scale * truth[:, None, :] + rng.normal(0, noise, size=(n, n_models, k))
+    ens = BaseEnsemble(models=[None] * n_models, assignment=ClusterAssignment(((0,),)), loss=loss)
+    return (np.zeros((n, 1)), y), ens, h
+
+
+_STAGE1_LOSSES = [SQ, LOGISTIC, losses.softmax_loss(3)]
+
+
+@pytest.mark.parametrize("loss", _STAGE1_LOSSES, ids=["squared", "logistic", "softmax"])
+def test_stage1_path_lands_where_bisection_does(loss):
+    xy, ens, h = _stacking_problem(loss, 150, 5, seed=21)
+    model = fit_stage1(xy, ens, margins=h)
+    ref_beta, ref_lambda, ref_warning = _reference_bisection(h, xy[1], loss, 1e6)
+    assert not model.ball_warning and not ref_warning
+    assert 1.0 - BALL_TOL <= np.linalg.norm(model.beta) <= 1.0
+    assert 1.0 - BALL_TOL <= np.linalg.norm(ref_beta) <= 1.0
+    # the band is one lambda interval, narrow at this tolerance
+    assert model.lambda_used == pytest.approx(ref_lambda, rel=0.05)
+    # the path's warm-started solution is the solution at its lambda
+    beta, intercept = _cold_solve(h, xy[1], loss, model.lambda_used)
+    np.testing.assert_allclose(model.beta, beta, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(model.intercept, intercept, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("loss", _STAGE1_LOSSES, ids=["squared", "logistic", "softmax"])
+def test_stage1_path_warns_where_bisection_does(loss):
+    xy, ens, h = _stacking_problem(loss, 120, 3, seed=22)
+    for lambda_max in (1e-6, 1e-2, 0.3, 3.0, 30.0, 1e3, 1e6):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_stage1(xy, ens, lambda_max=lambda_max, margins=h)
+        ref_beta, _, ref_warning = _reference_bisection(h, xy[1], loss, lambda_max)
+        assert model.ball_warning == ref_warning, lambda_max
+        assert any("lambda_max" in str(w.message) for w in caught) == ref_warning
+        if ref_warning:
+            assert model.lambda_used == lambda_max
+            np.testing.assert_allclose(model.beta, ref_beta, rtol=0, atol=1e-8)
+        else:
+            assert 1.0 - BALL_TOL <= np.linalg.norm(model.beta) <= 1.0
+
+
+def test_stage1_path_solve_count(monkeypatch):
+    # _reference_bisection makes 16 cold solves here: LAMBDA_MIN, lambda_max
+    # and 14 midpoints; the path makes 5 solves of 24 Newton iterations in
+    # all, 31 without its warm starts
+    solves, iterations = [], []
+    fit_glm, newton = linear.fit_glm, linear.newton
+
+    def counting_fit_glm(*args, **kwargs):
+        solves.append(1)
+        return fit_glm(*args, **kwargs)
+
+    def counting_newton(objective, grad_hess, theta0):
+        def counted(theta):
+            iterations.append(1)
+            return grad_hess(theta)
+
+        return newton(objective, counted, theta0)
+
+    monkeypatch.setattr(linear, "fit_glm", counting_fit_glm)
+    monkeypatch.setattr(mr, "fit_glm", counting_fit_glm)
+    monkeypatch.setattr(linear, "newton", counting_newton)
+    xy, ens, h = _stacking_problem(LOGISTIC, 150, 5, seed=23)
+    model = fit_stage1(xy, ens, margins=h)
+    assert 1.0 - BALL_TOL <= np.linalg.norm(model.beta) <= 1.0
+    assert len(solves) <= 6
+    assert len(iterations) <= 27
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    loss=st.sampled_from(_STAGE1_LOSSES),
+    n=st.integers(30, 200),
+    n_models=st.integers(2, 5),
+    scale=st.floats(0.05, 1.0),
+    log_lambda_max=st.floats(-3.0, 4.0),
+    seed=st.integers(0, 2**16),
+)
+def test_stage1_path_property(loss, n, n_models, scale, log_lambda_max, seed):
+    xy, ens, h = _stacking_problem(loss, n, n_models, seed, scale=scale, noise=scale)
+    lambda_max = 10.0**log_lambda_max
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the lambda_max warning is checked as ball_warning
+        model = fit_stage1(xy, ens, lambda_max=lambda_max, margins=h)
+        _, _, ref_warning = _reference_bisection(h, xy[1], loss, lambda_max)
+    beta, _ = _cold_solve(h, xy[1], loss, model.lambda_used)
+    norm = np.linalg.norm(model.beta)
+    assert model.ball_warning == ref_warning
+    if model.lambda_used == LAMBDA_MIN:
+        assert norm <= 1.0
+    elif model.ball_warning:
+        assert model.lambda_used == lambda_max and norm > 1.0
+    else:
+        assert 1.0 - BALL_TOL <= norm <= 1.0
+    np.testing.assert_allclose(model.beta, beta, rtol=0, atol=1e-6)
+
+
+def test_stage1_rejects_a_lambda_max_without_a_finite_bracket():
+    xy, ens, h = _stacking_problem(LOGISTIC, 60, 3, seed=24)
+    for bad in (float("nan"), float("inf"), 0.0, -1.0, LAMBDA_MIN):
+        with pytest.raises(ValueError, match="lambda_max must be finite"):
+            fit_stage1(xy, ens, lambda_max=bad, margins=h)
+        with pytest.raises(ValueError, match="lambda_max must be finite"):
+            MRConfig(lambda_max=bad)
 
 
 def test_stage1_needs_enough_rows():

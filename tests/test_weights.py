@@ -191,6 +191,23 @@ def test_kmm_converged_solve_does_not_warn(recwarn):
     assert not [w for w in recwarn if "KMM" in str(w.message)]
 
 
+@pytest.mark.parametrize("block", [1, 7, 250])
+def test_kmm_kappa_in_row_blocks_equals_the_whole_gram(monkeypatch, block):
+    # 1 and 7 elements give one train row per block; 250 gives 5 rows of 50
+    rng = np.random.default_rng(12)
+    train, test = rng.normal(size=(23, 3)), rng.normal(0.5, 1.0, size=(50, 3))
+    kernel = KernelSpec(1.3, categorical_dims=(2,))
+    train[:, 2] = test[:5, 2] = 1.0
+    whole = gram(kernel, train, test).sum(axis=1)
+    monkeypatch.setattr(weights, "_GRAM_BLOCK_ELEMENTS", block)
+    np.testing.assert_array_equal(weights._gram_row_sums(kernel, train, test), whole)
+    monkeypatch.undo()
+    a = fit_kmm(train, test, kernel=kernel)
+    monkeypatch.setattr(weights, "_GRAM_BLOCK_ELEMENTS", block)
+    b = fit_kmm(train, test, kernel=kernel)
+    np.testing.assert_array_equal(a.values, b.values)
+
+
 def test_kmm_rejects_non_finite_gram():
     train = np.array([[0.0], [np.nan]])
     test = np.array([[0.0], [1.0]])

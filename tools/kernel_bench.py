@@ -20,7 +20,14 @@ fixed shapes and seeded data:
   intercept, on the margins of M = 4 cluster models plus the all-segments
   model, each the true logits plus N(0, 1) noise: a logistic
   ``fit_linear`` on n = 150 rows of those 5 columns, and a shared-softmax
-  ``mr._solve_shared_softmax`` over K = 3 classes for n in {140, 3000}.
+  ``mr._solve_shared_softmax`` over K = 3 classes for n in {140, 3000};
+- ``stage1_fit``: one whole ``mr.fit_stage1`` whose unit ball binds, on the
+  same shapes with each model's margin 0.3 times the true logit (the
+  logistic one: logit difference) plus N(0, 0.3^2) noise, with its GLM
+  solve count and the norm it lands at;
+- ``small_fit``: one ``fit_gbt`` of the shape of a cross-validation
+  refiner: 24 rows of 4 columns, logistic loss, 10 rounds of depth 2, with
+  sample weights and a base margin.
 
 Each figure is the per-call time in microseconds: the median and the
 minimum over 7 repeats of a loop that runs for at least 0.1 s. Run from
@@ -41,7 +48,16 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from segshift.learners import LOGISTIC, LossKind, fit_gbt, fit_linear, softmax_loss  # noqa: E402
+from segshift import mr  # noqa: E402
+from segshift.learners import (  # noqa: E402
+    LOGISTIC,
+    LossKind,
+    fit_gbt,
+    fit_linear,
+    linear,
+    refine_config,
+    softmax_loss,
+)
 from segshift.learners.gbt import (  # noqa: E402
     _bin_features,
     _histogram,
@@ -49,8 +65,8 @@ from segshift.learners.gbt import (  # noqa: E402
     _TreeGrower,
     cluster_base_config,
 )
-from segshift.mr import LAMBDA_MIN, _solve_shared_softmax  # noqa: E402
-from segshift.segmentation import KernelSpec, gram  # noqa: E402
+from segshift.mr import LAMBDA_MIN, BaseEnsemble, _solve_shared_softmax, fit_stage1  # noqa: E402
+from segshift.segmentation import ClusterAssignment, KernelSpec, gram  # noqa: E402
 from segshift.weights import DEFAULT_ETA, _kmm_solve  # noqa: E402
 
 N_BINS = 256
@@ -136,11 +152,65 @@ def stage1_kernel(n, classes, n_models=5):
     return {"kernel": "stage1_solve", "loss": "softmax", **shape, **timing}
 
 
+def glm_solves(fn):
+    """``fn()`` and the number of ``fit_glm`` solves it made."""
+    calls = []
+    original = linear.fit_glm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # fit_linear looks fit_glm up in its module, stage 1 in mr's
+    linear.fit_glm = mr.fit_glm = counting
+    try:
+        return fn(), len(calls)
+    finally:
+        linear.fit_glm = mr.fit_glm = original
+
+
+def stage1_fit_kernel(n, classes, n_models=5):
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(n, classes)) * 1.5
+    y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
+    if classes == 2:
+        loss = LOGISTIC
+        h = 0.3 * (logits[:, 1] - logits[:, 0])[:, None] + rng.normal(0, 0.3, size=(n, n_models))
+    else:
+        loss = softmax_loss(classes)
+        h = 0.3 * logits[:, None, :] + rng.normal(0, 0.3, size=(n, n_models, classes))
+    # margins are passed in, so the ensemble only gives the loss and model count
+    ensemble = BaseEnsemble([None] * n_models, ClusterAssignment(((0,),)), loss)
+    x = np.zeros((n, 1))
+
+    def fit():
+        return fit_stage1((x, y), ensemble, margins=h)
+
+    model, solves = glm_solves(fit)
+    shape = {"loss": loss.name, "n": n, "models": n_models, "classes": classes}
+    stats = {"solves": solves, "norm": round(float(np.linalg.norm(model.beta)), 6)}
+    return {"kernel": "stage1_fit", **shape, **stats, **per_call_us(fit)}
+
+
+def small_fit_kernel(n=24, d=4):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(n, d))
+    y = (x[:, 0] + rng.normal(size=n) > 0).astype(float)
+    w = rng.uniform(0.2, 3.0, size=n)
+    base = rng.normal(size=n)
+    cfg = refine_config(n_estimators=10, seed=7)
+    timing = per_call_us(lambda: fit_gbt(x, y, LOGISTIC, cfg, sample_weight=w, base_margin=base))
+    shape = {"n": n, "d": d, "rounds": cfg.n_estimators, "depth": cfg.max_depth}
+    return {"kernel": "small_fit", **shape, **timing}
+
+
 def main():
     results = [r for n in (1000, 8000) for d in (4, 5) for r in node_kernels(n, d)]
     results += [r for d in (4, 5) for r in forest_kernels(d)]
     results += [kmm_kernel(n, shift) for shift in (0.5, 1.0) for n in (300, 750, 1500)]
     results += [stage1_kernel(150, 2), stage1_kernel(140, 3), stage1_kernel(3000, 3)]
+    results += [stage1_fit_kernel(150, 2), stage1_fit_kernel(140, 3), stage1_fit_kernel(3000, 3)]
+    results.append(small_fit_kernel())
     machine = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
