@@ -137,19 +137,27 @@ def kmm_kernel(n, shift, d=5):
     return {"kernel": "kmm_solve", **shape, "steps": len(history) - 1, **timing}
 
 
-def stage1_kernel(n, classes, n_models=5):
+def stacking_data(n, classes, n_models, scale, noise):
+    """(loss, base margins, labels): each margin is ``scale`` times the true
+    logit (logistic: logit difference) plus N(0, noise^2)."""
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(n, classes)) * 1.5
     y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
-    shape = {"n": n, "models": n_models, "classes": classes}
     if classes == 2:
-        h = (logits[:, 1] - logits[:, 0])[:, None] + rng.normal(size=(n, n_models))
+        truth = (logits[:, 1] - logits[:, 0])[:, None]
+        return LOGISTIC, scale * truth + rng.normal(0, noise, size=(n, n_models)), y
+    h = scale * logits[:, None, :] + rng.normal(0, noise, size=(n, n_models, classes))
+    return softmax_loss(classes), h, y
+
+
+def stage1_kernel(n, classes, n_models=5):
+    loss, h, y = stacking_data(n, classes, n_models, 1.0, 1.0)
+    shape = {"loss": loss.name, "n": n, "models": n_models, "classes": classes}
+    if classes == 2:
         timing = per_call_us(lambda: fit_linear(h, y, LOGISTIC, l2=LAMBDA_MIN))
-        return {"kernel": "stage1_solve", "loss": "logistic", **shape, **timing}
-    h = logits[:, None, :] + rng.normal(size=(n, n_models, classes))
-    loss = softmax_loss(classes)
-    timing = per_call_us(lambda: _solve_shared_softmax(h, y, loss, LAMBDA_MIN, True))
-    return {"kernel": "stage1_solve", "loss": "softmax", **shape, **timing}
+    else:
+        timing = per_call_us(lambda: _solve_shared_softmax(h, y, loss, LAMBDA_MIN, True))
+    return {"kernel": "stage1_solve", **shape, **timing}
 
 
 def glm_solves(fn):
@@ -170,15 +178,7 @@ def glm_solves(fn):
 
 
 def stage1_fit_kernel(n, classes, n_models=5):
-    rng = np.random.default_rng(5)
-    logits = rng.normal(size=(n, classes)) * 1.5
-    y = np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(float)
-    if classes == 2:
-        loss = LOGISTIC
-        h = 0.3 * (logits[:, 1] - logits[:, 0])[:, None] + rng.normal(0, 0.3, size=(n, n_models))
-    else:
-        loss = softmax_loss(classes)
-        h = 0.3 * logits[:, None, :] + rng.normal(0, 0.3, size=(n, n_models, classes))
+    loss, h, y = stacking_data(n, classes, n_models, 0.3, 0.3)
     # margins are passed in, so the ensemble only gives the loss and model count
     ensemble = BaseEnsemble([None] * n_models, ClusterAssignment(((0,),)), loss)
     x = np.zeros((n, 1))
