@@ -22,9 +22,12 @@ grower (joined once per fit) to the JSON (format v1, one dict per node).
 Prediction concatenates the records of one or more models into one packed
 forest of tree groups, one group per (model, class), and walks it once:
 every row descends every tree for exactly the forest's depth, because
-leaves route to themselves. Each group's leaf values are then summed
-sequentially in round order, so a row's margin is the same bits whatever
-batch it is predicted in.
+leaves route to themselves. Each node's two children sit side by side, so
+a step is one gather at ``2 node + (x < threshold)``; the first step
+compares each row with the roots by broadcast, and the last reads leaf
+values straight from the pair of children. Each group's leaf values are
+then summed sequentially in round order, so a row's margin is the same
+bits whatever batch it is predicted in.
 """
 
 import numbers
@@ -212,12 +215,28 @@ class _PackedForest:
 
     The forests, at least one tree among them, are concatenated node by
     node, each child index shifted by its tree's first node, and one zero
-    leaf is added at the end. Leaves route to themselves (left = right =
+    leaf is added at the end. Leaves route to themselves (both children
     self, feature 0, whatever the threshold), so after ``depth`` steps every
     row sits at its leaf in every tree, with no test for rows still moving.
+
+    Node i's children are paired: its right child is ``children[2 i]`` and
+    its left child ``children[2 i + 1]``, so a row at node i moves to
+    ``children[2 i + (x[feature] < threshold)]``, one gather in place of
+    two and a select (the fixed-depth predication walk of Asadi, Lin and de
+    Vries, IEEE TKDE 2014). ``child_value`` is ``value[children]``, so the
+    last step reads the leaf value where it would read the child; a depth-0
+    forest reads ``child_value[2 root]``. Every row starts at its tree's
+    root, so the first step compares the rows' values at ``root_feature``
+    with ``root_threshold`` by broadcast, with no gather per (tree, row).
+
     The trees form one group per (forest, class), each in round order; the
     zero leaf pads short groups at their end, so the leaves of a chunk form
     one (groups, trees, rows) block, and its 0.0 leaves a group's sum as is.
+    The block is summed over its tree axis, which adds tree after tree
+    while the rows axis is the fast one; numpy sums pairwise only along
+    the fast axis. A one-row chunk makes the tree axis the fast one, so it
+    takes a cumsum instead, which is sequential: one row gets the bits it
+    gets in any batch.
     """
 
     def __init__(self, forests: list, width: int):
@@ -240,35 +259,49 @@ class _PackedForest:
         leaf, node = feature < 0, np.arange(len(feature))
         first = np.append(starts, shift[-1])  # the zero leaf is a one-node tree
         base = np.repeat(first, np.diff(first, append=shift[-1] + 1))  # each node's tree start
-        self.left, self.right = (np.where(leaf, node, c + base) for c in (left, right))
+        left, right = (np.where(leaf, node, c + base) for c in (left, right))
+        self.children = np.stack([right, left], axis=1).ravel()  # x < threshold reads 2 i + 1
+        self.child_value = value.take(self.children)
         self.feature = np.where(leaf, 0, feature).astype(np.intp)
-        self.threshold, self.value = threshold, value
+        self.threshold = threshold
+        self.root_feature = self.feature.take(self.roots)
+        self.root_threshold = threshold.take(self.roots)[:, None]
         # children follow their parent, so the frontier empties within n_nodes levels
         self.depth = 0
         frontier = starts[~leaf[starts]]
         while frontier.size:
             self.depth += 1
-            children = np.concatenate([self.left[frontier], self.right[frontier]])
+            children = np.concatenate([left[frontier], right[frontier]])
             frontier = np.unique(children[~leaf[children]])
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """(n, n_groups): each group's leaf values summed over its trees in order."""
         n, d = x.shape
         n_trees = len(self.roots)
-        out = np.zeros((n, self.n_groups))
+        out = np.empty((n, self.n_groups))
         chunk = max(1, _CHUNK_ELEMENTS // n_trees)
         for start in range(0, n, chunk):
-            xc = np.ascontiguousarray(x[start : start + chunk]).ravel()
-            m = len(xc) // d
+            xc = np.ascontiguousarray(x[start : start + chunk])
+            m = len(xc)
+            # node holds 2 i, plus 1 where the row goes left of node i
+            node = 2 * self.roots[:, None]
+            if self.depth:
+                node = node + (xc.T.take(self.root_feature, axis=0) < self.root_threshold)
+            xc = xc.ravel()
             row_base = np.arange(m) * d
-            node = np.repeat(self.roots, m).reshape(n_trees, m)
-            for _ in range(self.depth):
-                go_left = xc.take(self.feature.take(node) + row_base) < self.threshold.take(node)
-                node = np.where(go_left, self.left.take(node), self.right.take(node))
-            leaves = self.value.take(node).reshape(self.n_groups, self.group_size, m)
-            # cumsum adds tree after tree at every chunk size; a reduction
-            # would switch to pairwise sums for a single row
-            out[start : start + m] = leaves.cumsum(axis=1)[:, -1].T
+            for _ in range(self.depth - 1):
+                node = self.children.take(node)
+                at = self.feature.take(node)
+                at += row_base
+                go_left = xc.take(at) < self.threshold.take(node)
+                node *= 2
+                node += go_left
+            leaves = self.child_value.take(node).reshape(self.n_groups, self.group_size, -1)
+            if leaves.shape[2] > 1:
+                sums = np.add.reduce(leaves, axis=1)  # tree after tree: rows are the fast axis
+            else:
+                sums = leaves.cumsum(axis=1)[:, -1]  # trees would be the fast axis of a reduce
+            out[start : start + m] = sums.T
         return out
 
 
@@ -420,9 +453,13 @@ def _histogram(flat, n_bins, g, h, rows):
     n_cols = flat.shape[0]
     size = n_cols * n_bins
     idx = flat.take(rows, axis=1).ravel()
+    # each row's g and h once per column, laid out as idx is
+    weights = np.empty((2, n_cols, len(rows)))
+    weights[0] = g.take(rows)
+    weights[1] = h.take(rows)
     hist = np.empty((3, size))
-    hist[0] = np.bincount(idx, weights=np.tile(g[rows], n_cols), minlength=size)
-    hist[1] = np.bincount(idx, weights=np.tile(h[rows], n_cols), minlength=size)
+    hist[0] = np.bincount(idx, weights=weights[0].ravel(), minlength=size)
+    hist[1] = np.bincount(idx, weights=weights[1].ravel(), minlength=size)
     hist[2] = np.bincount(idx, minlength=size)
     return hist.reshape(3, n_cols, n_bins)
 

@@ -40,6 +40,7 @@ from .segmentation import (
     ClusterAssignment,
     KernelSpec,
     SegmentDistanceMatrix,
+    check_bandwidth,
     cluster_segments,
     choose_num_clusters,
     segment_distance_matrix,
@@ -126,6 +127,7 @@ class MRConfig:
         if not 0.0 < self.varsigma < 1.0:
             raise ValueError("varsigma must be in (0, 1)")
         _check_lambda_max(self.lambda_max)
+        check_bandwidth(self.bandwidth)
 
     @property
     def resolved_weight_method(self) -> str:

@@ -515,6 +515,14 @@ def _infinite_lambda_max(doc):
     doc["config"]["lambda_max"] = float("inf")
 
 
+def _nan_bandwidth(doc):
+    doc["config"]["bandwidth"] = float("nan")
+
+
+def _infinite_bandwidth(doc):
+    doc["config"]["bandwidth"] = float("inf")
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -524,9 +532,11 @@ def _infinite_lambda_max(doc):
         (_nan_lambda_used, "lambda_used nan is not finite and positive"),
         (_zero_lambda_used, "lambda_used 0.0 is not finite and positive"),
         (_infinite_lambda_max, "lambda_max must be finite"),
+        (_nan_bandwidth, "bandwidth must be 'median' or a finite positive number"),
+        (_infinite_bandwidth, "bandwidth must be 'median' or a finite positive number"),
     ],
     ids=["nan-leaf", "infinite-init-margin", "short-stage1-beta", "nan-lambda-used",
-         "zero-lambda-used", "infinite-lambda-max"],
+         "zero-lambda-used", "infinite-lambda-max", "nan-bandwidth", "infinite-bandwidth"],
 )
 def test_predict_model_with_bad_numbers_exit_2(tmp_path, capsys, corrupt, message):
     # JSON's NaN and Infinity parse, and a short beta only fails at predict time

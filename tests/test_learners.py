@@ -1,8 +1,10 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from segshift import GBTConfig, LossKind, fit_gbt, fit_linear
@@ -638,6 +640,139 @@ def test_ensemble_pack_built_once_under_threads(monkeypatch):
     assert len(builds) == 1
     for r in results:
         np.testing.assert_array_equal(r, want)
+
+
+class ReferencePack:
+    """The packed walk with separate child arrays, the reference for
+    ``gbt._PackedForest``: left, right and ``np.where`` at every level, then
+    each group's cumsum over its trees.
+
+    Same layout as ``gbt._PackedForest``: one group per (forest, class), in
+    round order, padded at its end with one zero leaf; leaves route to
+    themselves, so every row walks the forest's depth.
+    """
+
+    def __init__(self, forests, width):
+        self.n_groups = len(forests) * width
+        shift = np.cumsum([0, *(f.offsets[-1] for f in forests)], dtype=np.intp)
+        starts = np.concatenate([f.offsets[:-1] + s for f, s in zip(forests, shift)])
+        group = np.concatenate([r * width + f.class_k for r, f in enumerate(forests)])
+        counts = np.bincount(group, minlength=self.n_groups)
+        self.group_size = int(counts.max(initial=0))
+        order = np.argsort(group, kind="stable")
+        slot = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+        roots = np.full((self.n_groups, self.group_size), shift[-1])
+        roots[group[order], slot] = starts[order]
+        self.roots = roots.ravel()
+        fields = ("feature", "threshold", "left", "right", "value")
+        feature, threshold, left, right, value = (
+            np.concatenate([*(getattr(f, key) for f in forests), [pad]])
+            for key, pad in zip(fields, (-1, 0.0, -1, -1, 0.0))
+        )
+        leaf, node = feature < 0, np.arange(len(feature))
+        first = np.append(starts, shift[-1])
+        base = np.repeat(first, np.diff(first, append=shift[-1] + 1))
+        self.left, self.right = (np.where(leaf, node, c + base) for c in (left, right))
+        self.feature = np.where(leaf, 0, feature).astype(np.intp)
+        self.threshold, self.value = threshold, value
+        self.depth = 0
+        frontier = starts[~leaf[starts]]
+        while frontier.size:
+            self.depth += 1
+            children = np.concatenate([self.left[frontier], self.right[frontier]])
+            frontier = np.unique(children[~leaf[children]])
+
+    def sums(self, x, chunk_elements):
+        n, d = x.shape
+        n_trees = len(self.roots)
+        out = np.zeros((n, self.n_groups))
+        chunk = max(1, chunk_elements // n_trees)
+        for start in range(0, n, chunk):
+            xc = np.ascontiguousarray(x[start : start + chunk]).ravel()
+            m = len(xc) // d
+            row_base = np.arange(m) * d
+            node = np.repeat(self.roots, m).reshape(n_trees, m)
+            for _ in range(self.depth):
+                go_left = xc.take(self.feature.take(node) + row_base) < self.threshold.take(node)
+                node = np.where(go_left, self.left.take(node), self.right.take(node))
+            leaves = self.value.take(node).reshape(self.n_groups, self.group_size, m)
+            out[start : start + m] = leaves.cumsum(axis=1)[:, -1].T
+        return out
+
+
+def fitted_pack(rng, loss, max_depth, n_models, empty_model, d=3, n=80):
+    """Forest records of ``n_models`` fits of 1 to 12 rounds on one sample;
+    model ``empty_model`` (if any) has no trees."""
+    x = np.round(rng.normal(size=(n, d)), 1)  # ties put data values on the bin edges
+    if loss.name == "squared":
+        y = x[:, 0] - x[:, 1] + rng.normal(0, 0.3, n)
+    else:
+        k = 2 if loss.name == "logistic" else loss.n_classes
+        y = np.argmax(x[:, :k] + rng.gumbel(size=(n, k)), axis=1)
+    rounds = [0 if i == empty_model else int(rng.integers(1, 13)) for i in range(n_models)]
+    models = [
+        fit_gbt(x, y, loss, GBTConfig(n_estimators=r, max_depth=max_depth, subsample=0.8, seed=i))
+        for i, r in enumerate(rounds)
+    ]
+    return x, [m.trees for m in models]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    loss=st.sampled_from([SQ, LOG, SOFT]),
+    max_depth=st.integers(0, 5),
+    n_models=st.integers(1, 4),
+    empty=st.booleans(),
+    budget=st.sampled_from([200, 3000, 1 << 17]),
+    rows=st.sampled_from(["1", "2", "chunk-1", "chunk", "chunk+1"]),
+)
+def test_packed_sums_match_reference_walk(seed, loss, max_depth, n_models, empty, budget, rows):
+    from segshift.learners import gbt
+
+    rng = np.random.default_rng(seed)
+    # the empty model's group holds only the zero leaf; a pack needs one tree
+    empty_model = int(rng.integers(n_models)) if empty and n_models > 1 else None
+    x, forests = fitted_pack(rng, loss, max_depth, n_models, empty_model)
+    ref = ReferencePack(forests, loss.margin_width)
+    chunk = max(1, budget // len(ref.roots))
+    n = {"1": 1, "2": 2, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
+    xt = rng.normal(size=(n, 3))
+    train = rng.random(n) < 0.5
+    xt[train] = x[rng.integers(len(x), size=train.sum())]
+    # put values on the thresholds of random roots and random inner nodes
+    feature = np.concatenate([f.feature for f in forests])
+    threshold = np.concatenate([f.threshold for f in forests])
+    shift = np.cumsum([0, *(f.offsets[-1] for f in forests)])
+    roots = np.concatenate([f.offsets[:-1] + s for f, s in zip(forests, shift)])
+    for pool in (roots[feature[roots] >= 0], np.flatnonzero(feature >= 0)):
+        if pool.size and n:
+            pick = pool[rng.integers(pool.size, size=n)]
+            xt[np.arange(n), feature[pick]] = threshold[pick]
+    with mock.patch.object(gbt, "_CHUNK_ELEMENTS", budget):
+        got = gbt._PackedForest(forests, loss.margin_width).sums(xt)
+    want = ref.sums(xt, budget)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_one_row_margins_equal_batch_on_softmax_pack():
+    from segshift.mr import BaseEnsemble
+    from segshift.segmentation import ClusterAssignment
+
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(600, 4))
+    y = np.argmax(x[:, :3] + rng.gumbel(size=(600, 3)), axis=1)
+    models = [
+        fit_gbt(x[s::3], y[s::3], SOFT, GBTConfig(n_estimators=30, max_depth=3, subsample=0.8, seed=s))
+        for s in range(3)
+    ]
+    ens = BaseEnsemble(models=models, assignment=ClusterAssignment(((0,), (1,))), loss=SOFT)
+    # 270 trees: 485-row chunks, so 1,000 rows end in a partial one
+    xt = rng.normal(size=(1000, 4))
+    batch = ens.margins(xt)
+    one = np.concatenate([ens.margins(xt[i : i + 1]) for i in range(len(xt))])
+    assert one.tobytes() == batch.tobytes()
 
 
 def stump_dict(**node0):

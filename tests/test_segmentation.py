@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
 from segshift import (
     Dataset,
@@ -15,6 +17,7 @@ from segshift import (
     segment_distance_matrix,
 )
 from segshift import segmentation
+from segshift._seeds import make_rng
 from segshift.mr import plan_fit
 from segshift.segmentation import SegmentDistanceMatrix, _ward_merge_sequence, gram
 
@@ -99,6 +102,41 @@ def test_median_bandwidth_line():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     # pairwise distances {1,1,1,2,2,3}; median = 1.5
     assert median_bandwidth(x) == 1.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.one_of(st.integers(2, 60), st.integers(990, 1100)),
+    d=st.integers(1, 5),
+    decimals=st.sampled_from([None, 0, 1]),
+)
+def test_median_bandwidth_matches_np_median(seed, n, d, decimals):
+    x = np.random.default_rng(seed).normal(size=(n, d))
+    if decimals is not None:  # rounded rows give tied and zero distances
+        x = np.round(x, decimals)
+    sample = x
+    if n > 1000:
+        sample = x[np.sort(make_rng(0, "bandwidth").permutation(n)[:1000])]
+    want = float(np.median(pdist(sample)))
+    got = median_bandwidth(x)
+    assert got == (want if want > 0 else 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_median_bandwidth_rejects_non_finite_rows(bad):
+    x = np.random.default_rng(0).normal(size=(20, 3))
+    x[7, 1] = bad
+    with pytest.raises(ValueError, match="finite rows"):
+        median_bandwidth(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0, True, "foo"])
+def test_bad_bandwidth_rejected_at_construction(bad):
+    with pytest.raises(ValueError, match="bandwidth"):
+        KernelSpec(bad)
+    with pytest.raises(ValueError, match="bandwidth"):
+        MRConfig(bandwidth=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ fixed shapes and seeded data:
   histogram;
 - ``forest_sums``: one traversal (``_PackedForest.sums``) of the pack of a
   200-tree, depth-3 squared-loss model's forest record (``GBTModel.trees``)
-  fitted on 8000 rows of d columns, for 1 row and for 4000 rows;
+  fitted on 8000 rows of d columns, for 1 row and for 4000 rows; and of
+  a pack shaped like labelshift-mc3's base ensemble: 4 softmax models of
+  200 rounds, K = 3 classes (2,400 depth-3 trees), each fitted on 2000 rows
+  of 5 columns, for 1 row and for 4000 rows;
+- ``median_bandwidth``: one ``segmentation.median_bandwidth`` on 1000 rows
+  of N(0, I_4) (499,500 pairwise distances);
 - ``kmm_solve``: one ``weights._kmm_solve`` on the Gram of n rows drawn from
   N(0, I_5) against n test rows from N(shift, I_5), with ``fit_kmm``'s
   defaults (median-heuristic bandwidth, eta = 10, epsilon = eta / sqrt(n)),
@@ -66,7 +71,12 @@ from segshift.learners.gbt import (  # noqa: E402
     cluster_base_config,
 )
 from segshift.mr import LAMBDA_MIN, BaseEnsemble, _solve_shared_softmax, fit_stage1  # noqa: E402
-from segshift.segmentation import ClusterAssignment, KernelSpec, gram  # noqa: E402
+from segshift.segmentation import (  # noqa: E402
+    ClusterAssignment,
+    KernelSpec,
+    gram,
+    median_bandwidth,
+)
 from segshift.weights import DEFAULT_ETA, _kmm_solve  # noqa: E402
 
 N_BINS = 256
@@ -122,6 +132,29 @@ def forest_kernels(d):
         {"kernel": "forest_sums", **shape, "rows": m, **per_call_us(lambda m=m: forest.sums(xt[:m]))}
         for m in (1, 4000)
     ]
+
+
+def softmax_pack_kernels(n_models=4, classes=3, n=2000, d=5):
+    rng = np.random.default_rng(8)
+    loss = softmax_loss(classes)
+    models = []
+    for seed in range(n_models):
+        x = rng.normal(size=(n, d))
+        y = np.argmax(x[:, :classes] + rng.gumbel(size=(n, classes)), axis=1)
+        models.append(fit_gbt(x, y, loss, cluster_base_config(seed=seed)))
+    forest = _PackedForest([m.trees for m in models], classes)
+    xt = rng.normal(size=(4000, d))
+    shape = {"models": n_models, "classes": classes, "trees": len(forest.roots)}
+    shape.update(depth=forest.depth, d=d)
+    return [
+        {"kernel": "forest_sums", **shape, "rows": m, **per_call_us(lambda m=m: forest.sums(xt[:m]))}
+        for m in (1, 4000)
+    ]
+
+
+def median_kernel(n=1000, d=4):
+    x = np.random.default_rng(9).normal(size=(n, d))
+    return {"kernel": "median_bandwidth", "n": n, "d": d, **per_call_us(lambda: median_bandwidth(x))}
 
 
 def kmm_kernel(n, shift, d=5):
@@ -207,6 +240,8 @@ def small_fit_kernel(n=24, d=4):
 def main():
     results = [r for n in (1000, 8000) for d in (4, 5) for r in node_kernels(n, d)]
     results += [r for d in (4, 5) for r in forest_kernels(d)]
+    results += softmax_pack_kernels()
+    results.append(median_kernel())
     results += [kmm_kernel(n, shift) for shift in (0.5, 1.0) for n in (300, 750, 1500)]
     results += [stage1_kernel(150, 2), stage1_kernel(140, 3), stage1_kernel(3000, 3)]
     results += [stage1_fit_kernel(150, 2), stage1_fit_kernel(140, 3), stage1_fit_kernel(3000, 3)]
