@@ -5,6 +5,11 @@ outputs carry {"format_version": 1} and are byte-deterministic given the
 same flags and inputs. Exit codes: 0 success, 2 usage/config error,
 3 runtime/data error. A ``--config`` file provides flat key=value pairs
 for any flag; explicit command-line flags override it.
+
+The pipeline flags take their defaults from ``MRConfig``, and ``fit`` and
+``cv`` have a ``--base-<field>`` and a ``--refine-<field>`` flag for every
+``GBTConfig`` field but ``seed``. ``MRConfig`` and ``GBTConfig`` check the
+values, so an out-of-range setting exits 2.
 """
 
 import argparse
@@ -12,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,6 +36,8 @@ from .learners import GBTConfig, cluster_base_config, refine_config
 from .mr import DRModel, MRConfig, MRModel, _resolve_clusters, fit_dr, fit_mr
 
 FIT_METHODS = ("mr", "dr", "dr-sf", "gbt")
+# GBTConfig fields with a --base-* and a --refine-* flag; the seed is derived
+_GBT_FLAG_FIELDS = tuple(f for f in fields(GBTConfig) if f.name != "seed")
 
 
 class CliError(Exception):
@@ -117,25 +124,8 @@ def _load_aligned(
 
 
 def _gbt_config(args, prefix: str, factory) -> GBTConfig:
-    cfg = factory(seed=args.seed)
-    overrides = {}
-    for name in (
-        "n_estimators",
-        "max_depth",
-        "learning_rate",
-        "subsample",
-        "colsample_bytree",
-        "min_child_weight",
-        "leaf_l2",
-        "n_bins",
-    ):
-        value = getattr(args, f"{prefix}_{name}", None)
-        if value is not None:
-            overrides[name] = value
-    try:
-        return replace(cfg, **overrides)
-    except ValueError as exc:
-        raise _usage(str(exc)) from exc
+    values = {f.name: getattr(args, f"{prefix}_{f.name}") for f in _GBT_FLAG_FIELDS}
+    return factory(seed=args.seed, **{k: v for k, v in values.items() if v is not None})
 
 
 def _bandwidth(args) -> float | str:
@@ -159,27 +149,33 @@ def _clusters(args) -> int | str:
         raise _usage(f"--clusters must be 'auto' or an integer, got {args.clusters!r}")
 
 
-def _mr_config(args) -> MRConfig:
-    clusters = _clusters(args)
-    bandwidth = _bandwidth(args)
+def _mr_config(args, cluster_only: bool = False) -> MRConfig:
+    """The config the flags set; a value ``MRConfig`` or ``GBTConfig`` rejects exits 2.
+
+    ``cluster_only`` reads just the flags of ``_add_cluster_flags``.
+    """
+    settings = dict(
+        clusters=_clusters(args),
+        min_cluster_size=args.min_cluster_size,
+        bandwidth=_bandwidth(args),
+        max_per_segment=args.max_per_segment,
+        seed=args.seed,
+        n_threads=args.threads,
+    )
     try:
-        return MRConfig(
-            shift=args.shift,
-            weight_method=None if args.weight_method == "auto" else args.weight_method,
-            eta=args.eta,
-            varsigma=args.varsigma,
-            clusters=clusters,
-            min_cluster_size=args.min_cluster_size,
-            base=_gbt_config(args, "base", cluster_base_config),
-            refine=_gbt_config(args, "refine", refine_config),
-            ball=args.ball,
-            fit_intercept=args.intercept,
-            lambda_max=args.lambda_max,
-            bandwidth=bandwidth,
-            max_per_segment=args.max_per_segment,
-            seed=args.seed,
-            n_threads=args.threads,
-        )
+        if not cluster_only:
+            settings.update(
+                shift=args.shift,
+                weight_method=None if args.weight_method == "auto" else args.weight_method,
+                eta=args.eta,
+                varsigma=args.varsigma,
+                base=_gbt_config(args, "base", cluster_base_config),
+                refine=_gbt_config(args, "refine", refine_config),
+                ball=args.ball,
+                fit_intercept=args.intercept,
+                lambda_max=args.lambda_max,
+            )
+        return MRConfig(**settings)
     except ValueError as exc:
         raise _usage(str(exc)) from exc
 
@@ -212,14 +208,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_cluster(args) -> int:
     # a fit's config with this command's flags, so the matrix is the one plan_fit computes
-    config = MRConfig(
-        clusters=_clusters(args),
-        min_cluster_size=args.min_cluster_size,
-        bandwidth=_bandwidth(args),
-        max_per_segment=args.max_per_segment,
-        seed=args.seed,
-        n_threads=args.threads,
-    )
+    config = _mr_config(args, cluster_only=True)
     task = _task_from_args(args)
     train = _load_train(args, task)
     try:
@@ -417,6 +406,8 @@ def cmd_cv(args) -> int:
         train.segment_names, label_optional=True,
     )
     config = _mr_config(args)
+    if args.k < 2:
+        raise _usage(f"--k must be >= 2, got {args.k}")
     if args.grid == "default":
         grid = CvGrid()
     else:
@@ -457,31 +448,38 @@ def _add_data_flags(p, with_group=True):
     p.add_argument("--classes", type=int, default=3, help="class count for multiclass tasks")
 
 
+def _add_cluster_flags(p):
+    """The flags of the distance matrix and the cluster cut, shared by cluster, fit and cv."""
+    p.add_argument("--clusters", default=MRConfig.clusters, help="'auto' or a cluster count")
+    p.add_argument("--min-cluster-size", type=int, default=MRConfig.min_cluster_size)
+    p.add_argument("--bandwidth", default=MRConfig.bandwidth)
+    p.add_argument("--max-per-segment", type=int, default=MRConfig.max_per_segment)
+    p.add_argument("--seed", type=int, default=MRConfig.seed)
+    p.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="workers for the segment distance matrix",
+    )
+
+
 def _add_pipeline_flags(p):
-    p.add_argument("--shift", choices=("covariate", "label"), default="covariate")
+    _add_cluster_flags(p)
+    p.add_argument("--shift", choices=("covariate", "label"), default=MRConfig.shift)
     p.add_argument(
         "--weight-method",
         choices=("auto", "discriminative", "kmm", "bbse", "none"),
         default="auto",
     )
-    p.add_argument("--eta", type=float, default=10.0)
-    p.add_argument("--varsigma", type=float, default=0.8)
-    p.add_argument("--clusters", default="auto", help="'auto' or a cluster count")
-    p.add_argument("--min-cluster-size", type=int, default=2)
-    p.add_argument("--ball", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--lambda-max", type=float, default=1e6)
-    p.add_argument("--bandwidth", default="median")
-    p.add_argument("--max-per-segment", type=int, default=2000)
+    p.add_argument("--eta", type=float, default=MRConfig.eta)
+    p.add_argument("--varsigma", type=float, default=MRConfig.varsigma)
+    p.add_argument("--ball", action=argparse.BooleanOptionalAction, default=MRConfig.ball)
+    p.add_argument(
+        "--intercept", action=argparse.BooleanOptionalAction, default=MRConfig.fit_intercept
+    )
+    p.add_argument("--lambda-max", type=float, default=MRConfig.lambda_max)
     for prefix in ("base", "refine"):
-        p.add_argument(f"--{prefix}-n-estimators", type=int, default=None)
-        p.add_argument(f"--{prefix}-max-depth", type=int, default=None)
-        p.add_argument(f"--{prefix}-learning-rate", type=float, default=None)
-        p.add_argument(f"--{prefix}-subsample", type=float, default=None)
-        p.add_argument(f"--{prefix}-colsample-bytree", type=float, default=None)
-        p.add_argument(f"--{prefix}-min-child-weight", type=float, default=None)
-        p.add_argument(f"--{prefix}-leaf-l2", type=float, default=None)
-        p.add_argument(f"--{prefix}-n-bins", type=int, default=None)
+        for f in _GBT_FLAG_FIELDS:
+            flag = f"--{prefix}-{f.name.replace('_', '-')}"
+            p.add_argument(flag, type=type(f.default), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,12 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster segments by joint-distribution distance")
     p.add_argument("--train", required=True)
     _add_data_flags(p)
-    p.add_argument("--clusters", default="auto")
-    p.add_argument("--min-cluster-size", type=int, default=2)
-    p.add_argument("--bandwidth", default="median")
-    p.add_argument("--max-per-segment", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    _add_cluster_flags(p)
     p.add_argument("--out", default="clusters.json")
     p.set_defaults(func=cmd_cluster)
 
@@ -521,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="test features CSV (labels optional)")
     _add_data_flags(p)
     _add_pipeline_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out-report", default="fit_report.json")
     p.set_defaults(func=cmd_fit)
@@ -556,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'default' (base n_estimators 50, 200 x refine n_estimators 0, 25) "
         "or a JSON grid file",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default="cv.json")
     p.set_defaults(func=cmd_cv)
     return parser

@@ -298,7 +298,9 @@ class _PackedForest:
                 node += go_left
             leaves = self.child_value.take(node).reshape(self.n_groups, self.group_size, -1)
             if leaves.shape[2] > 1:
-                sums = np.add.reduce(leaves, axis=1)  # tree after tree: rows are the fast axis
+                # tree after tree, rows being the fast axis; from -0.0, the exact identity
+                # of +, so all -0.0 leaves sum to -0.0 as in the cumsum (numpy starts at 0.0)
+                sums = np.add.reduce(leaves, axis=1, initial=-0.0)
             else:
                 sums = leaves.cumsum(axis=1)[:, -1]  # trees would be the fast axis of a reduce
             out[start : start + m] = sums.T

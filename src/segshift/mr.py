@@ -15,8 +15,8 @@ pooled per-segment weights (dr), optionally with one-hot segment features
 """
 
 import hashlib
+import numbers
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -41,6 +41,7 @@ from .segmentation import (
     KernelSpec,
     SegmentDistanceMatrix,
     check_bandwidth,
+    check_max_per_segment,
     cluster_segments,
     choose_num_clusters,
     segment_distance_matrix,
@@ -94,8 +95,30 @@ def segment_onehot(segment_id: np.ndarray, n_segments: int) -> np.ndarray:
     return out
 
 
+def _normalise_clusters(clusters):
+    """``clusters`` as ``MRConfig`` keeps it: "auto", a count >= 1 or a tuple of id tuples."""
+    if isinstance(clusters, ClusterAssignment):
+        return clusters.clusters
+    if isinstance(clusters, (tuple, list)):
+        return ClusterAssignment(clusters).clusters
+    if isinstance(clusters, numbers.Integral) and not isinstance(clusters, bool):
+        if clusters >= 1:
+            return int(clusters)
+    elif clusters == "auto":
+        return clusters
+    raise ValueError(
+        f"clusters must be 'auto', an integer >= 1 or segment groups, got {clusters!r}"
+    )
+
+
 @dataclass(frozen=True)
 class MRConfig:
+    """Settings of ``fit_mr`` and ``fit_dr``; an out-of-range value raises ``ValueError``.
+
+    ``clusters`` is kept as "auto", a count or a tuple of segment-id tuples.
+    ``n_threads`` sets the distance matrix's workers and is not saved with a model.
+    """
+
     shift: str = "covariate"  # "covariate" | "label"
     weight_method: str | None = None  # default: discriminative / bbse by shift
     eta: float = DEFAULT_ETA
@@ -124,8 +147,12 @@ class MRConfig:
                 f"weight method {self.weight_method!r} incompatible with "
                 f"{self.shift} shift (choose from {allowed})"
             )
+        if not self.eta > 0:  # also NaN; +inf means no cap
+            raise ValueError(f"eta must be > 0, got {self.eta!r}")
         if not 0.0 < self.varsigma < 1.0:
             raise ValueError("varsigma must be in (0, 1)")
+        object.__setattr__(self, "clusters", _normalise_clusters(self.clusters))
+        check_max_per_segment(self.max_per_segment)
         _check_lambda_max(self.lambda_max)
         check_bandwidth(self.bandwidth)
 
@@ -137,9 +164,7 @@ class MRConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        if isinstance(self.clusters, ClusterAssignment):
-            d["clusters"] = [list(c) for c in self.clusters.clusters]
-        elif not isinstance(self.clusters, (str, int)):
+        if isinstance(self.clusters, tuple):
             d["clusters"] = [list(c) for c in self.clusters]
         d.pop("n_threads")  # execution detail, not part of the model identity
         return d
@@ -150,8 +175,6 @@ class MRConfig:
         d.pop("n_threads", None)
         d["base"] = GBTConfig(**d["base"])
         d["refine"] = GBTConfig(**d["refine"])
-        if isinstance(d["clusters"], list):
-            d["clusters"] = tuple(tuple(c) for c in d["clusters"])
         return cls(**d)
 
 
@@ -771,8 +794,6 @@ def _resolve_clusters(
     An explicit assignment needs no matrix, which is then None. ``max_auto``
     caps the count that ``"auto"`` picks.
     """
-    if isinstance(config.clusters, ClusterAssignment):
-        return None, config.clusters
     if isinstance(config.clusters, tuple):
         return None, ClusterAssignment(config.clusters)
     d = segment_distance_matrix(
@@ -788,7 +809,7 @@ def _resolve_clusters(
             # smallest tune fold must still fit an (m+1)-column stacking
             m = max(1, max_auto)
     else:
-        m = int(config.clusters)
+        m = config.clusters
     return d, cluster_segments(d, m)
 
 
@@ -940,7 +961,7 @@ def fit_mr(
        rows' base margins and the stage-1 stacking (``fit_stage1``);
     4. ``fit_stage2``, per segment: the weighted refiner.
 
-    Stages 3 and 4 of one segment run as one task of the thread pool.
+    ``config.n_threads`` sets the workers of the distance matrix only.
     ``stages``, a ``FitStages`` built for this ``(train, test_features)``
     pair, keeps the results of every stage for later calls with other
     ``base`` or ``refine`` settings. A call whose only change is a smaller
@@ -967,7 +988,6 @@ def fit_mr(
         )
         return ensemble, {}
 
-    # each pool task reads and writes only its own segment's entries
     ensemble, heads = _memo(stages.heads, base_key, base_point)
     refine_key = replace(config.refine, n_estimators=0)
 
@@ -988,17 +1008,10 @@ def fit_mr(
             stage1=head.stage1, refiner=refiner, weight_summary=head.weights.summary()
         )
 
-    order = plan.segments
-    if config.n_threads > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            fitted = list(pool.map(fit_one_segment, order))
-    else:
-        fitted = [fit_one_segment(s) for s in order]
-
     return MRModel(
         task=train.task,
         ensemble=ensemble,
-        segments=dict(zip(order, fitted)),
+        segments={s: fit_one_segment(s) for s in plan.segments},
         segment_names=train.segment_names,
         feature_names=train.feature_names,
         config=config,

@@ -45,6 +45,20 @@ class KernelSpec:
         return KernelSpec(median_bandwidth(cont, seed), self.categorical_dims)
 
 
+def check_max_per_segment(max_per_segment) -> None:
+    """Reject a per-segment sample cap that is not an integer >= 2.
+
+    Each segment's MMD U-statistic needs two rows; a negative cap would
+    silently drop rows from the end of the sample.
+    """
+    if (
+        isinstance(max_per_segment, bool)
+        or not isinstance(max_per_segment, numbers.Integral)
+        or max_per_segment < 2
+    ):
+        raise ValueError(f"max_per_segment must be an integer >= 2, got {max_per_segment!r}")
+
+
 def check_bandwidth(bandwidth) -> None:
     """Reject a bandwidth other than "median" or a finite positive number.
 
@@ -106,7 +120,11 @@ def gram(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ca = _continuous_part(a, cat)
     cb = _continuous_part(b, cat)
     if ca.shape[1] > 0:
-        k = np.exp(-cdist(ca, cb, "sqeuclidean") / (2.0 * kernel.bandwidth**2))
+        # in place: the same operations as exp(-d / 2h^2) without two more n x m temporaries
+        k = cdist(ca, cb, "sqeuclidean")
+        np.negative(k, out=k)
+        np.divide(k, 2.0 * kernel.bandwidth**2, out=k)
+        np.exp(k, out=k)
     else:
         k = np.ones((a.shape[0], b.shape[0]))
     for j in kernel.categorical_dims:
@@ -188,6 +206,7 @@ def segment_distance_matrix(
     floored at zero. Segments larger than ``max_per_segment`` are
     subsampled deterministically from ``seed``.
     """
+    check_max_per_segment(max_per_segment)
     segs = [int(s) for s in train.present_segments()]
     samples = []
     for s in segs:

@@ -1,11 +1,13 @@
+import argparse
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from segshift import MRConfig, MRModel, TaskKind, load_csv, mr
-from segshift.cli import main
+from segshift import GBTConfig, MRConfig, MRModel, TaskKind, load_csv, mr
+from segshift.cli import build_parser, main
 
 
 def run(argv):
@@ -39,6 +41,16 @@ def fit_args(tmp_path, method="mr", extra=()):
         "--out-report", str(tmp_path / "fit_report.json"),
         *extra,
     ]
+
+
+def command_args(tmp_path, command):
+    """Arguments of ``fit``, ``cv`` or ``cluster`` on the simulated pair."""
+    if command == "fit":
+        return fit_args(tmp_path)
+    data = ["--train", str(tmp_path / "train.csv"), "--task", "regression"]
+    if command == "cv":
+        return ["cv", *data, "--test", str(tmp_path / "test.csv"), "--out", str(tmp_path / "cv.json")]
+    return ["cluster", *data, "--out", str(tmp_path / "clusters.json")]
 
 
 def test_simulate_writes_rows(tmp_path):
@@ -258,15 +270,82 @@ def test_config_file_with_cli_override(tmp_path):
 @pytest.mark.parametrize("command", ["fit", "cv", "cluster"])
 def test_bad_bandwidth_exit_2(tmp_path, capsys, command, value):
     run(simulate_args(tmp_path))
-    data = ["--train", str(tmp_path / "train.csv"), "--task", "regression"]
-    if command == "fit":
-        argv = fit_args(tmp_path)
-    elif command == "cv":
-        argv = ["cv", *data, "--test", str(tmp_path / "test.csv"), "--out", str(tmp_path / "cv.json")]
-    else:
-        argv = ["cluster", *data, "--out", str(tmp_path / "clusters.json")]
-    assert run([*argv, "--bandwidth", value]) == 2
+    assert run([*command_args(tmp_path, command), "--bandwidth", value]) == 2
     assert "--bandwidth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        *[
+            pytest.param(
+                c, [f"--max-per-segment={v}"], "max_per_segment must be an integer >= 2",
+                id=f"{c}-max-per-segment{v}",
+            )
+            for c in ("fit", "cv", "cluster")
+            for v in ("-5", "0", "1")
+        ],
+        pytest.param(
+            "fit", ["--eta=-1", "--weight-method", "none"], "eta must be > 0", id="fit-negative-eta"
+        ),
+        pytest.param("fit", ["--eta", "nan"], "eta must be > 0", id="fit-nan-eta"),
+        pytest.param("cv", ["--eta", "0"], "eta must be > 0", id="cv-zero-eta"),
+        pytest.param("fit", ["--clusters", "0"], "clusters must be", id="fit-zero-clusters"),
+        pytest.param("cv", ["--clusters=-1"], "clusters must be", id="cv-negative-clusters"),
+        pytest.param("cluster", ["--clusters", "0"], "clusters must be", id="cluster-zero-clusters"),
+        pytest.param("cv", ["--k", "1"], "--k must be >= 2", id="cv-k-1"),
+    ],
+)
+def test_out_of_range_setting_exit_2(tmp_path, capsys, command, setting, message):
+    # unchecked, --max-per-segment -5 dropped 5 rows of each segment's distance
+    # sample and a negative eta with no weights went into the model, both with
+    # exit 0; the others failed mid-fit with runtime errors (exit 3)
+    run(simulate_args(tmp_path))
+    assert run([*command_args(tmp_path, command), *setting]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _subcommand_actions(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _spec(action):
+    return (
+        action.option_strings, action.default, action.type, action.choices,
+        action.required, type(action), action.help,
+    )
+
+
+def test_parser_mirrors_the_config_types():
+    tunable = [f for f in dataclasses.fields(GBTConfig) if f.name != "seed"]
+    mr_defaults = {
+        f.name: f.default for f in dataclasses.fields(MRConfig)
+        if f.default is not dataclasses.MISSING
+    }
+    for command in ("fit", "cv"):
+        actions = _subcommand_actions(command)
+        for prefix in ("base", "refine"):
+            for f in tunable:
+                action = actions.pop(f"{prefix}_{f.name}")
+                assert action.option_strings == [f"--{prefix}-{f.name.replace('_', '-')}"]
+                assert action.type is type(f.default) and action.default is None
+        assert not [dest for dest in actions if dest.startswith(("base_", "refine_"))]
+        # "auto" stands for MRConfig's None, and --threads defaults to the CPU count
+        assert actions.pop("weight_method").default == "auto"
+        assert actions.pop("threads").default >= 1
+        actions["fit_intercept"] = actions.pop("intercept")
+        named = {dest: a.default for dest, a in actions.items() if dest in mr_defaults}
+        assert named == {name: mr_defaults[name] for name in named}
+        assert sorted(named) == sorted(
+            ["shift", "eta", "varsigma", "clusters", "min_cluster_size", "ball",
+             "fit_intercept", "lambda_max", "bandwidth", "max_per_segment", "seed"]
+        )
+    shared = ("clusters", "min_cluster_size", "bandwidth", "max_per_segment", "seed", "threads")
+    cluster, fit, cv = (_subcommand_actions(c) for c in ("cluster", "fit", "cv"))
+    for dest in shared:
+        assert _spec(cluster[dest]) == _spec(fit[dest]) == _spec(cv[dest])
 
 
 def test_config_file_missing_exit_2(tmp_path):
@@ -523,6 +602,18 @@ def _infinite_bandwidth(doc):
     doc["config"]["bandwidth"] = float("inf")
 
 
+def _negative_eta(doc):
+    doc["config"]["eta"] = -1.0
+
+
+def _zero_clusters(doc):
+    doc["config"]["clusters"] = 0
+
+
+def _small_max_per_segment(doc):
+    doc["config"]["max_per_segment"] = 1
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -534,9 +625,13 @@ def _infinite_bandwidth(doc):
         (_infinite_lambda_max, "lambda_max must be finite"),
         (_nan_bandwidth, "bandwidth must be 'median' or a finite positive number"),
         (_infinite_bandwidth, "bandwidth must be 'median' or a finite positive number"),
+        (_negative_eta, "eta must be > 0"),
+        (_zero_clusters, "clusters must be"),
+        (_small_max_per_segment, "max_per_segment must be an integer >= 2"),
     ],
     ids=["nan-leaf", "infinite-init-margin", "short-stage1-beta", "nan-lambda-used",
-         "zero-lambda-used", "infinite-lambda-max", "nan-bandwidth", "infinite-bandwidth"],
+         "zero-lambda-used", "infinite-lambda-max", "nan-bandwidth", "infinite-bandwidth",
+         "negative-eta", "zero-clusters", "small-max-per-segment"],
 )
 def test_predict_model_with_bad_numbers_exit_2(tmp_path, capsys, corrupt, message):
     # JSON's NaN and Infinity parse, and a short beta only fails at predict time

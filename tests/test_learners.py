@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from segshift import GBTConfig, LossKind, fit_gbt, fit_linear
@@ -727,6 +727,8 @@ def fitted_pack(rng, loss, max_depth, n_models, empty_model, d=3, n=80):
     budget=st.sampled_from([200, 3000, 1 << 17]),
     rows=st.sampled_from(["1", "2", "chunk-1", "chunk", "chunk+1"]),
 )
+# one-tree groups whose leaves for a row are all -0.0: the sum must stay -0.0
+@example(seed=2892, loss=SOFT, max_depth=2, n_models=2, empty=True, budget=200, rows="chunk-1")
 def test_packed_sums_match_reference_walk(seed, loss, max_depth, n_models, empty, budget, rows):
     from segshift.learners import gbt
 

@@ -760,6 +760,42 @@ def test_mr_config_validation():
     with pytest.raises(ValueError):
         MRConfig(varsigma=1.5)
     assert MRConfig(shift="label").resolved_weight_method == "bbse"
+    # eta must be > 0; NaN fails the comparison, and +inf means no cap
+    for eta in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            MRConfig(eta=eta)
+    assert MRConfig(eta=float("inf")).eta == float("inf")
+    for clusters in (0, -2, True, False, "3", 2.0, None):
+        with pytest.raises(ValueError, match="clusters must be"):
+            MRConfig(clusters=clusters)
+    for bad_groups in (((0, 1), (1,)), ((),)):
+        with pytest.raises(ValueError):
+            MRConfig(clusters=bad_groups)
+    # a segment's distance sample needs 2 rows; a negative cap would drop rows
+    train, _ = small_sim(seed=1, n=80, segs=2)
+    for cap in (-5, 0, 1, True, 2.5):
+        with pytest.raises(ValueError, match="max_per_segment must be an integer >= 2"):
+            MRConfig(max_per_segment=cap)
+        with pytest.raises(ValueError, match="max_per_segment must be an integer >= 2"):
+            mr.segment_distance_matrix(train, max_per_segment=cap)
+    assert mr.segment_distance_matrix(train, max_per_segment=2).n_segments == 2
+
+
+def test_mr_config_keeps_explicit_clusters_as_a_tuple():
+    groups = ((0, 2), (1, 3))
+    configs = [
+        MRConfig(clusters=ClusterAssignment(groups)),
+        MRConfig(clusters=[[0, 2], [1, 3]]),
+        MRConfig(clusters=tuple((np.int64(a), np.int64(b)) for a, b in groups)),
+    ]
+    for cfg in configs:
+        assert cfg.clusters == groups
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(
+            configs[0].to_dict(), sort_keys=True
+        )
+        assert cfg.to_dict()["clusters"] == [[0, 2], [1, 3]]
+        assert MRConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert MRConfig(clusters=np.int64(3)).to_dict()["clusters"] == 3
 
 
 def test_mr_bbse_requires_classification():

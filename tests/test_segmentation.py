@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from segshift import (
     Dataset,
@@ -359,3 +359,25 @@ def test_auto_plan_runs_one_ward_merge_sequence(monkeypatch):
 def test_gram_requires_resolved_bandwidth():
     with pytest.raises(ValueError, match="resolved"):
         gram(KernelSpec("median"), np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("cat", [(), (0,)])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (7, 5, 2), (300, 1, 3), (200, 400, 4)])
+def test_gram_equals_the_plain_expression(shape, cat):
+    # the in-place exponent must give the bits of exp(-d / 2h^2) computed out of place
+    n, m, d = shape
+    rng = np.random.default_rng(n * m + d)
+    a = rng.normal(size=(n, d))
+    b = rng.normal(size=(m, d))
+    a[:, 0] = rng.integers(0, 3, size=n)
+    b[:, 0] = rng.integers(0, 3, size=m)
+    for bandwidth in (0.3, 1.0, 7.5):
+        kernel = KernelSpec(bandwidth, cat)
+        keep = [j for j in range(d) if j not in cat]
+        if keep:
+            want = np.exp(-cdist(a[:, keep], b[:, keep], "sqeuclidean") / (2.0 * bandwidth**2))
+        else:
+            want = np.ones((n, m))
+        for j in cat:
+            want = want * (a[:, j : j + 1] == b[:, j : j + 1].T)
+        assert gram(kernel, a, b).tobytes() == want.tobytes()
