@@ -1,10 +1,13 @@
 """Batch command-line interface.
 
-Subcommands: simulate, cluster, fit, predict, evaluate, cv. All JSON
-outputs carry {"format_version": 1} and are byte-deterministic given the
-same flags and inputs. Exit codes: 0 success, 2 usage/config error,
-3 runtime/data error. A ``--config`` file provides flat key=value pairs
-for any flag; explicit command-line flags override it.
+Subcommands: simulate, cluster, fit, predict, evaluate, cv. Every JSON
+output carries a "format_version" and is byte-deterministic given the
+same flags and inputs. Model files are version 2
+(``mr.MODEL_FORMAT_VERSION``), with each forest as node columns; a model
+file of another version exits 2 and must be re-fit. Reports and the
+cluster and cv outputs are version 1. Exit codes: 0 success, 2
+usage/config error, 3 runtime/data error. A ``--config`` file provides
+flat key=value pairs for any flag; explicit command-line flags override it.
 
 The pipeline flags take their defaults from ``MRConfig``, and ``fit`` and
 ``cv`` have a ``--base-<field>`` and a ``--refine-<field>`` flag for every

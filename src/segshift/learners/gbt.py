@@ -18,7 +18,9 @@ input row order, and sample weights are rescaled to mean one, so models
 are invariant to the overall weight scale.
 
 A model's trees are one ``Forest`` record of flat node arrays, from the
-grower (joined once per fit) to the JSON (format v1, one dict per node).
+grower (joined once per fit) to the JSON, which holds the same arrays as
+node columns: one list per node field, plus each tree's node count and
+class (as XGBoost's JSON model stores each tree as parallel arrays).
 Prediction concatenates the records of one or more models into one packed
 forest of tree groups, one group per (model, class), and walks it once:
 every row descends every tree for exactly the forest's depth, because
@@ -117,7 +119,9 @@ class Forest:
     column ``class_k[i]``; leaves have feature == -1. Child indices are
     local to their tree, as in the JSON, and come after their parent
     (``node < child < n_nodes``), so every path ends. Fitted trees are built
-    that way; ``GBTModel.from_dict`` checks it for the trees it reads.
+    that way; ``GBTModel.from_dict`` checks it for the trees it reads. The
+    JSON form (``to_dict``) is these arrays as lists, with ``n_nodes`` in
+    place of ``offsets``.
     """
 
     feature: np.ndarray  # int32
@@ -141,27 +145,30 @@ class Forest:
             class_k=np.asarray(class_k, dtype=np.int32),
         )
 
-    def to_dicts(self) -> list:
-        """The trees as JSON v1 dicts: ``{"class_k", "nodes": [one dict per node]}``."""
-        columns = (getattr(self, key).tolist() for key in _NODE_FIELDS)
-        nodes = [dict(zip(_NODE_FIELDS, node)) for node in zip(*columns)]
-        bounds = self.offsets.tolist()
-        return [
-            {"class_k": k, "nodes": nodes[a:b]}
-            for k, a, b in zip(self.class_k.tolist(), bounds, bounds[1:])
-        ]
+    def to_dict(self) -> dict:
+        """The trees as JSON node columns, nodes tree after tree.
+
+        ``{"feature", "threshold", "left", "right", "value"}``: one list per
+        node field; ``"n_nodes"`` and ``"class_k"``: one value per tree.
+        """
+        d = {key: getattr(self, key).tolist() for key in _NODE_FIELDS}
+        d["n_nodes"] = np.diff(self.offsets).tolist()
+        d["class_k"] = self.class_k.tolist()
+        return d
 
 
-def _index_field(items: list, key: str, what: str = "tree node") -> np.ndarray:
-    """One int32 index field of every item, rejecting non-integers.
+def _index_column(doc: dict, key: str, what: str = "tree node") -> np.ndarray:
+    """One int32 index column of the trees, rejecting non-integers.
 
-    The field is read with the dtype JSON gave it, so that ``1.5`` is
+    The list is read with the dtype JSON gave it, so that ``1.5`` is
     rejected rather than truncated to ``1``, and must fit int32. A JSON
     boolean is not an integer, though numpy reads one among ints as 0 or 1.
     """
-    values = [n[key] for n in items]
+    values = doc[key]
     raw = np.array(values)
-    if raw.dtype.kind not in "iu" or bool in set(map(type, values)):
+    if raw.shape == (0,):  # an empty list reads as float64
+        raw = raw.astype(np.int32)
+    if raw.ndim != 1 or raw.dtype.kind not in "iu" or bool in set(map(type, values)):
         raise ValueError(f"{what} {key!r} values are not all integers")
     out = raw.astype(np.int32)
     if np.any(out != raw):
@@ -169,31 +176,32 @@ def _index_field(items: list, key: str, what: str = "tree node") -> np.ndarray:
     return out
 
 
-def _read_trees(docs: list, n_features: int, width: int) -> Forest:
-    """The forest of tree dicts, rejecting what a walk could not follow.
+def _read_trees(doc: dict, n_features: int, width: int) -> Forest:
+    """The forest of the JSON node columns, rejecting what a walk could not follow.
 
-    Each tree's class_k must be an integer in [0, width), and an internal
-    node (feature != -1) must split on a feature in [0, n_features) and name
-    two children in (node, n_nodes) of its tree. The model's nodes are read
-    into one array per field: numpy calls per tree would cost more than the
-    parse.
+    Each tree needs a node and a class_k in [0, width), and each node column
+    one value per node. An internal node (feature != -1) must split on a
+    feature in [0, n_features) and name two children in (node, n_nodes) of
+    its tree. Every check is one numpy expression over the whole column.
     """
-    if not docs:  # nothing to check, and numpy calls on empty arrays are not free
-        return Forest.join([], [])
-    sizes = np.asarray([len(t["nodes"]) for t in docs], dtype=np.intp)
-    if np.any(sizes == 0):
+    sizes = _index_column(doc, "n_nodes", what="tree")
+    class_k = _index_column(doc, "class_k", what="tree")
+    if len(class_k) != len(sizes):
+        raise ValueError(f"tree 'class_k' has {len(class_k)} values for {len(sizes)} trees")
+    if np.any(sizes < 1):
         raise ValueError("tree has no nodes")
-    class_k = _index_field(docs, "class_k", what="tree")
     if np.any((class_k < 0) | (class_k >= width)):
         raise ValueError(f"tree class_k outside [0, {width})")
-    nodes = [n for t in docs for n in t["nodes"]]
-    feature, left, right = (_index_field(nodes, key) for key in ("feature", "left", "right"))
-    threshold, value = (
-        np.array([n[key] for n in nodes], dtype=np.float64) for key in ("threshold", "value")
-    )
+    offsets = np.append(0, sizes.cumsum(dtype=np.intp))
+    feature, left, right = (_index_column(doc, key) for key in ("feature", "left", "right"))
+    threshold, value = (np.array(doc[key], dtype=np.float64) for key in ("threshold", "value"))
+    for key, column in zip(_NODE_FIELDS, (feature, threshold, left, right, value)):
+        if column.shape != (offsets[-1],):
+            raise ValueError(
+                f"tree node {key!r} has {column.size} values for {offsets[-1]} nodes"
+            )
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise ValueError("tree node threshold or value is not finite")
-    offsets = np.append(0, sizes.cumsum())
     internal = feature != -1
     node = (np.arange(len(feature)) - np.repeat(offsets[:-1], sizes))[internal]
     n_nodes = np.repeat(sizes, sizes)[internal]
@@ -387,7 +395,7 @@ class GBTModel:
             "n_features": self.n_features,
             "learning_rate": self.learning_rate,
             "init_margin": None if self.init_margin is None else self.init_margin.tolist(),
-            "trees": self.trees.to_dicts(),
+            "trees": self.trees.to_dict(),
         }
 
     @classmethod

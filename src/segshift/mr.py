@@ -61,12 +61,25 @@ BALL_TOL = 1e-3
 # KMM builds an n x n float64 Gram over a segment's rows: 800 MB at this many
 # rows, 3.2 GB at twice as many. A larger segment fails before the Gram.
 KMM_MAX_ROWS = 10_000
+# The layout of MRModel and DRModel files; version 2 holds each forest as node
+# columns. Reports and the cluster and cv outputs have their own version 1.
+MODEL_FORMAT_VERSION = 2
 
 
 def _check_lambda_max(lambda_max: float) -> None:
     """Reject a ``lambda_max`` that leaves stage 1's path no finite upper end."""
     if not LAMBDA_MIN < lambda_max < np.inf:
         raise ValueError(f"lambda_max must be finite and above {LAMBDA_MIN:g}, got {lambda_max!r}")
+
+
+def _check_format_version(d: dict) -> None:
+    """Reject a model file of another layout than the one this version writes."""
+    version = d.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"model format_version {version!r} is not {MODEL_FORMAT_VERSION}, "
+            "the only one this segshift reads; re-fit the model"
+        )
 
 
 def task_loss(task: TaskKind) -> LossKind:
@@ -152,6 +165,10 @@ class MRConfig:
         if not 0.0 < self.varsigma < 1.0:
             raise ValueError("varsigma must be in (0, 1)")
         object.__setattr__(self, "clusters", _normalise_clusters(self.clusters))
+        for name in ("min_cluster_size", "n_threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         check_max_per_segment(self.max_per_segment)
         _check_lambda_max(self.lambda_max)
         check_bandwidth(self.bandwidth)
@@ -529,7 +546,7 @@ class DRModel:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": MODEL_FORMAT_VERSION,
             "kind": "dr-sf" if self.with_segment_features else "dr",
             "task": {"kind": self.task.kind, "n_classes": self.task.n_classes},
             "n_segments": self.n_segments,
@@ -541,6 +558,7 @@ class DRModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DRModel":
+        _check_format_version(d)
         task = TaskKind(d["task"]["kind"], d["task"]["n_classes"])
         with_segment_features = d["kind"] == "dr-sf"
         n_segments = int(d["n_segments"])
@@ -739,7 +757,7 @@ class MRModel:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": MODEL_FORMAT_VERSION,
             "kind": "mr",
             "task": {"kind": self.task.kind, "n_classes": self.task.n_classes},
             "config": self.config.to_dict(),
@@ -758,6 +776,7 @@ class MRModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MRModel":
+        _check_format_version(d)
         task = TaskKind(d["task"]["kind"], d["task"]["n_classes"])
         loss = task_loss(task)
         n_features = len(d["feature_names"])

@@ -83,10 +83,10 @@ def test_fit_mr_and_report(tmp_path):
     run(simulate_args(tmp_path))
     assert run(fit_args(tmp_path)) == 0
     model = json.loads((tmp_path / "model.json").read_text())
-    assert model["format_version"] == 1 and model["kind"] == "mr"
+    assert model["format_version"] == 2 and model["kind"] == "mr"
     assert set(model["segments"]) == {"1", "2", "3"} or len(model["segments"]) == 3
     report = json.loads((tmp_path / "fit_report.json").read_text())
-    assert report["method"] == "mr"
+    assert report["format_version"] == 1 and report["method"] == "mr"
     assert "clusters" in report
     for seg in report["segments"].values():
         assert {"beta", "weights", "lambda"} <= set(seg)
@@ -294,6 +294,17 @@ def test_bad_bandwidth_exit_2(tmp_path, capsys, command, value):
         pytest.param("cv", ["--clusters=-1"], "clusters must be", id="cv-negative-clusters"),
         pytest.param("cluster", ["--clusters", "0"], "clusters must be", id="cluster-zero-clusters"),
         pytest.param("cv", ["--k", "1"], "--k must be >= 2", id="cv-k-1"),
+        *[
+            pytest.param(c, [f"--threads={v}"], "n_threads must be an integer >= 1", id=f"{c}-threads{v}")
+            for c, v in (("fit", "0"), ("fit", "-3"), ("cv", "0"), ("cluster", "-2"))
+        ],
+        *[
+            pytest.param(
+                c, [f"--min-cluster-size={v}"], "min_cluster_size must be an integer >= 1",
+                id=f"{c}-min-cluster-size{v}",
+            )
+            for c, v in (("fit", "-4"), ("fit", "0"), ("cluster", "0"))
+        ],
     ],
 )
 def test_out_of_range_setting_exit_2(tmp_path, capsys, command, setting, message):
@@ -479,7 +490,9 @@ def test_full_chain_byte_deterministic(tmp_path):
 
 def _corrupt_first_tree(tmp_path, **root):
     doc = json.loads((tmp_path / "model.json").read_text())
-    doc["ensemble"]["models"][0]["trees"][0]["nodes"][0].update(root)
+    trees = doc["ensemble"]["models"][0]["trees"]
+    for key, value in root.items():
+        trees[key][0] = value  # the first tree's root
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc))
     return bad
@@ -522,7 +535,7 @@ def _binarize(tmp_path):
 
 
 def _class_k_half(doc):
-    doc["ensemble"]["models"][0]["trees"][0]["class_k"] = 0.5
+    doc["ensemble"]["models"][0]["trees"]["class_k"][0] = 0.5
 
 
 def _relabel_softmax(doc):
@@ -570,8 +583,8 @@ def test_predict_model_disagreeing_with_task_exit_2(tmp_path, capsys, task, corr
 
 
 def _nan_leaf(doc):
-    nodes = doc["ensemble"]["models"][0]["trees"][0]["nodes"]
-    next(n for n in nodes if n["feature"] == -1)["value"] = float("nan")
+    trees = doc["ensemble"]["models"][0]["trees"]
+    trees["value"][trees["feature"].index(-1)] = float("nan")
 
 
 def _infinite_init_margin(doc):
@@ -614,6 +627,32 @@ def _small_max_per_segment(doc):
     doc["config"]["max_per_segment"] = 1
 
 
+def _zero_min_cluster_size(doc):
+    doc["config"]["min_cluster_size"] = 0
+
+
+def _v1_trees(trees):
+    """Node columns in the version-1 layout: one dict per node, a list per tree."""
+    fields = ("feature", "threshold", "left", "right", "value")
+    nodes = [dict(zip(fields, node)) for node in zip(*(trees[key] for key in fields))]
+    out, start = [], 0
+    for k, n in zip(trees["class_k"], trees["n_nodes"]):
+        out.append({"class_k": k, "nodes": nodes[start : start + n]})
+        start += n
+    return out
+
+
+def _format_version_1(doc):
+    # a file as segshift wrote it before node columns
+    doc["format_version"] = 1
+    for gbt in (*doc["ensemble"]["models"], *(m["refiner"] for m in doc["segments"].values())):
+        gbt["trees"] = _v1_trees(gbt["trees"])
+
+
+def _format_version_99(doc):
+    doc["format_version"] = 99
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -628,10 +667,14 @@ def _small_max_per_segment(doc):
         (_negative_eta, "eta must be > 0"),
         (_zero_clusters, "clusters must be"),
         (_small_max_per_segment, "max_per_segment must be an integer >= 2"),
+        (_zero_min_cluster_size, "min_cluster_size must be an integer >= 1"),
+        (_format_version_1, "format_version 1 is not 2, the only one this segshift reads; re-fit"),
+        (_format_version_99, "format_version 99 is not 2, the only one this segshift reads; re-fit"),
     ],
     ids=["nan-leaf", "infinite-init-margin", "short-stage1-beta", "nan-lambda-used",
          "zero-lambda-used", "infinite-lambda-max", "nan-bandwidth", "infinite-bandwidth",
-         "negative-eta", "zero-clusters", "small-max-per-segment"],
+         "negative-eta", "zero-clusters", "small-max-per-segment", "zero-min-cluster-size",
+         "format-version-1", "format-version-99"],
 )
 def test_predict_model_with_bad_numbers_exit_2(tmp_path, capsys, corrupt, message):
     # JSON's NaN and Infinity parse, and a short beta only fails at predict time

@@ -777,14 +777,23 @@ def test_one_row_margins_equal_batch_on_softmax_pack():
     assert one.tobytes() == batch.tobytes()
 
 
-def stump_dict(**node0):
+def stump_columns(**node0):
+    """A depth-1 tree as node columns; ``node0`` edits its root."""
     nodes = [
         {"feature": 0, "threshold": 0.5, "left": 1, "right": 2, "value": 0.0},
         {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 1.0},
         {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 2.0},
     ]
     nodes[0].update(node0)
-    return {"class_k": 0, "nodes": nodes}
+    return {key: [n[key] for n in nodes] for key in nodes[0]}
+
+
+def replace_tree(trees, i, columns):
+    """Put the node columns ``columns`` in place of tree ``i``'s nodes in ``trees``."""
+    start = sum(trees["n_nodes"][:i])
+    for key, column in columns.items():
+        trees[key][start : start + trees["n_nodes"][i]] = column
+    trees["n_nodes"][i] = len(columns["feature"])
 
 
 @pytest.mark.parametrize(
@@ -805,7 +814,51 @@ def test_gbt_from_dict_rejects_bad_tree_links(node0, match):
     x = np.arange(40.0).reshape(-1, 2)
     doc = fit_gbt(x, x[:, 0], SQ, GBTConfig(n_estimators=3)).to_dict()
     GBTModel.from_dict(doc)
-    doc["trees"][1] = stump_dict(**node0) if node0 is not None else {"class_k": 0, "nodes": []}
+    empty = dict.fromkeys(("feature", "threshold", "left", "right", "value"), [])
+    replace_tree(doc["trees"], 1, stump_columns(**node0) if node0 is not None else empty)
+    with pytest.raises(ValueError, match=match):
+        GBTModel.from_dict(doc)
+
+
+def _drop_last(key):
+    def corrupt(trees):
+        trees[key].pop()
+
+    return corrupt
+
+
+def _set(key, value, at=0):
+    def corrupt(trees):
+        trees[key][at] = value
+
+    return corrupt
+
+
+def _long_class_k(trees):
+    trees["class_k"].append(0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        *[
+            pytest.param(_drop_last(key), f"tree node '{key}' has 8 values for 9 nodes", id=f"short-{key}")
+            for key in ("feature", "threshold", "left", "right", "value")
+        ],
+        pytest.param(_long_class_k, "tree 'class_k' has 4 values for 3 trees", id="long-class-k"),
+        pytest.param(_set("n_nodes", 0, at=1), "no nodes", id="zero-n-nodes"),
+        pytest.param(_set("n_nodes", 1.5), "'n_nodes' values are not all integers", id="fractional-n-nodes"),
+        pytest.param(_set("n_nodes", True), "'n_nodes' values are not all integers", id="boolean-n-nodes"),
+        pytest.param(_set("n_nodes", 4), "has 9 values for 10 nodes", id="n-nodes-past-the-columns"),
+    ],
+)
+def test_gbt_from_dict_rejects_columns_out_of_step(corrupt, match):
+    stump = tuple(stump_columns().values())
+    trees = Forest.join([stump] * 3, [0] * 3)
+    doc = GBTModel(loss=SQ, n_features=1, trees=trees, init_margin=np.zeros(1), learning_rate=0.1).to_dict()
+    GBTModel.from_dict(doc)
+    assert doc["trees"]["n_nodes"] == [3, 3, 3] and doc["trees"]["class_k"] == [0, 0, 0]
+    corrupt(doc["trees"])
     with pytest.raises(ValueError, match=match):
         GBTModel.from_dict(doc)
 
@@ -814,13 +867,39 @@ def test_gbt_from_dict_rejects_bad_class_and_init():
     model = fit_gbt(np.arange(20.0).reshape(-1, 1), np.arange(20.0), SQ, GBTConfig(n_estimators=2))
     doc = model.to_dict()
     for bad in (1, -1, 0.5):
-        doc["trees"][1]["class_k"] = bad
+        doc["trees"]["class_k"][1] = bad
         with pytest.raises(ValueError, match="class_k"):
             GBTModel.from_dict(doc)
     doc = model.to_dict()
     doc["init_margin"] = [0.0, 1.0]
     with pytest.raises(ValueError, match="init_margin"):
         GBTModel.from_dict(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    loss=st.sampled_from([SQ, LOG, SOFT]),
+    max_depth=st.integers(0, 3),
+    n_estimators=st.integers(0, 5),
+)
+def test_forest_json_round_trip_is_bit_exact(seed, loss, max_depth, n_estimators):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(60, 3)), 1)
+    if loss.name == "squared":
+        y = x[:, 0] - x[:, 1] + rng.normal(0, 0.3, 60)
+    else:
+        k = 2 if loss.name == "logistic" else loss.n_classes
+        y = np.argmax(x[:, :k] + rng.gumbel(size=(60, k)), axis=1)
+    cfg = GBTConfig(n_estimators=n_estimators, max_depth=max_depth, subsample=0.8, seed=seed)
+    model = fit_gbt(x, y, loss, cfg)
+    back = GBTModel.from_dict(json.loads(json.dumps(model.to_dict(), sort_keys=True, indent=1)))
+    assert len(back.trees) == n_estimators * loss.margin_width
+    for key in ("feature", "threshold", "left", "right", "value", "offsets", "class_k"):
+        got, want = getattr(back.trees, key), getattr(model.trees, key)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert back.init_margin.tobytes() == model.init_margin.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,25 @@ def test_mr_serialization_roundtrip():
     assert json.dumps(back.to_dict()) == text
 
 
+def test_model_readers_reject_other_format_versions():
+    from segshift import DRModel
+
+    train, test = small_sim(seed=6, n=300, segs=2)
+    cfg = quick_config(refine=refine_config(n_estimators=2))
+    models = (fit_mr(train, (test.features, test.segment_id), cfg), fit_dr(train, (test.features, test.segment_id), cfg))
+    for model, reader in zip(models, (MRModel.from_dict, DRModel.from_dict)):
+        doc = model.to_dict()
+        assert doc["format_version"] == mr.MODEL_FORMAT_VERSION == 2
+        reader(doc)
+        for version in (1, 99, 2.0, True, "2", None):
+            doc["format_version"] = version
+            with pytest.raises(ValueError, match=rf"format_version {version!r} is not 2.*re-fit"):
+                reader(doc)
+        del doc["format_version"]
+        with pytest.raises(ValueError, match="format_version None"):
+            reader(doc)
+
+
 def test_mr_unknown_segment_uses_all_segments_model():
     train, test = small_sim(seed=7)
     reg = fit_mr(train, (test.features, test.segment_id), quick_config())
@@ -779,6 +798,12 @@ def test_mr_config_validation():
         with pytest.raises(ValueError, match="max_per_segment must be an integer >= 2"):
             mr.segment_distance_matrix(train, max_per_segment=cap)
     assert mr.segment_distance_matrix(train, max_per_segment=2).n_segments == 2
+    # unchecked, a thread count below 1 ran serially and a size below 1 acted as 1
+    for name in ("n_threads", "min_cluster_size"):
+        for bad in (0, -3, True, 1.5, "2", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                MRConfig(**{name: bad})
+        assert getattr(MRConfig(**{name: np.int64(3)}), name) == 3
 
 
 def test_mr_config_keeps_explicit_clusters_as_a_tuple():

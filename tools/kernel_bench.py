@@ -32,7 +32,12 @@ fixed shapes and seeded data:
   solve count and the norm it lands at;
 - ``small_fit``: one ``fit_gbt`` of the shape of a cross-validation
   refiner: 24 rows of 4 columns, logistic loss, 10 rounds of depth 2, with
-  sample weights and a base margin.
+  sample weights and a base margin;
+- ``model_json``: the model file's share of ``forest_sums``' models, the
+  200-tree squared ones and the softmax pack: ``save`` is ``to_dict`` plus
+  ``json.dumps(sort_keys=True, indent=1)``, as ``segshift fit`` writes a
+  model, and ``load`` is ``json.loads`` plus ``GBTModel.from_dict``, with
+  the text's size in bytes.
 
 Each figure is the per-call time in microseconds: the median and the
 minimum over 7 repeats of a loop that runs for at least 0.1 s. Run from
@@ -64,6 +69,7 @@ from segshift.learners import (  # noqa: E402
     softmax_loss,
 )
 from segshift.learners.gbt import (  # noqa: E402
+    GBTModel,
     _bin_features,
     _histogram,
     _PackedForest,
@@ -122,9 +128,12 @@ def node_kernels(n, d):
     ]
 
 
-def forest_kernels(d):
+def squared_model(d):
     x, y = data(8000, d)
-    model = fit_gbt(x, y, LossKind("squared"), cluster_base_config(seed=2))
+    return fit_gbt(x, y, LossKind("squared"), cluster_base_config(seed=2))
+
+
+def forest_kernels(model, d):
     forest = _PackedForest([model.trees], model.loss.margin_width)
     xt = np.random.default_rng(3).normal(size=(4000, d))
     shape = {"trees": len(model.trees), "depth": forest.depth, "d": d}
@@ -134,7 +143,8 @@ def forest_kernels(d):
     ]
 
 
-def softmax_pack_kernels(n_models=4, classes=3, n=2000, d=5):
+def softmax_pack(n_models=4, classes=3, n=2000, d=5):
+    """The models of a pack shaped like labelshift-mc3's base ensemble, and test rows."""
     rng = np.random.default_rng(8)
     loss = softmax_loss(classes)
     models = []
@@ -142,13 +152,34 @@ def softmax_pack_kernels(n_models=4, classes=3, n=2000, d=5):
         x = rng.normal(size=(n, d))
         y = np.argmax(x[:, :classes] + rng.gumbel(size=(n, classes)), axis=1)
         models.append(fit_gbt(x, y, loss, cluster_base_config(seed=seed)))
+    return models, rng.normal(size=(4000, d))
+
+
+def softmax_pack_kernels(models, xt):
+    classes = models[0].loss.margin_width
     forest = _PackedForest([m.trees for m in models], classes)
-    xt = rng.normal(size=(4000, d))
-    shape = {"models": n_models, "classes": classes, "trees": len(forest.roots)}
-    shape.update(depth=forest.depth, d=d)
+    shape = {"models": len(models), "classes": classes, "trees": len(forest.roots)}
+    shape.update(depth=forest.depth, d=xt.shape[1])
     return [
         {"kernel": "forest_sums", **shape, "rows": m, **per_call_us(lambda m=m: forest.sums(xt[:m]))}
         for m in (1, 4000)
+    ]
+
+
+def model_json_kernels(models):
+    def save():
+        return json.dumps([m.to_dict() for m in models], sort_keys=True, indent=1)
+
+    text = save()
+
+    def load():
+        return [GBTModel.from_dict(doc) for doc in json.loads(text)]
+
+    shape = {"models": len(models), "loss": models[0].loss.name, "d": models[0].n_features}
+    shape.update(trees=sum(len(m.trees) for m in models), bytes=len(text))
+    return [
+        {"kernel": "model_json", "op": op, **shape, **per_call_us(fn)}
+        for op, fn in (("save", save), ("load", load))
     ]
 
 
@@ -239,13 +270,17 @@ def small_fit_kernel(n=24, d=4):
 
 def main():
     results = [r for n in (1000, 8000) for d in (4, 5) for r in node_kernels(n, d)]
-    results += [r for d in (4, 5) for r in forest_kernels(d)]
-    results += softmax_pack_kernels()
+    squared = {d: squared_model(d) for d in (4, 5)}
+    results += [r for d in (4, 5) for r in forest_kernels(squared[d], d)]
+    pack, xt = softmax_pack()
+    results += softmax_pack_kernels(pack, xt)
     results.append(median_kernel())
     results += [kmm_kernel(n, shift) for shift in (0.5, 1.0) for n in (300, 750, 1500)]
     results += [stage1_kernel(150, 2), stage1_kernel(140, 3), stage1_kernel(3000, 3)]
     results += [stage1_fit_kernel(150, 2), stage1_fit_kernel(140, 3), stage1_fit_kernel(3000, 3)]
     results.append(small_fit_kernel())
+    results += [r for d in (4, 5) for r in model_json_kernels([squared[d]])]
+    results += model_json_kernels(pack)
     machine = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
