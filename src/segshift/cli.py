@@ -442,11 +442,10 @@ def cmd_cv(args) -> int:
 # Parser
 
 
-def _add_data_flags(p, with_group=True):
+def _add_data_flags(p):
     p.add_argument("--label-col", default="y")
     p.add_argument("--segment-col", default="__segment__")
-    if with_group:
-        p.add_argument("--group-col", default=None)
+    p.add_argument("--group-col", default=None)
     p.add_argument("--task", choices=("regression", "binary", "multiclass"), default="regression")
     p.add_argument("--classes", type=int, default=3, help="class count for multiclass tasks")
 

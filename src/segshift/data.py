@@ -4,10 +4,15 @@ A Dataset is an immutable bundle of a float feature matrix, labels, integer
 segment ids (with the original segment strings retained for reporting), an
 optional observational-unit group id, and the task kind. All split and
 generation operations are pure functions of their inputs and a seed.
+
+Both splits keep units whole. A unit is a group, or a single row when the
+dataset has no group ids; groups must not span segments. Each split walks
+one list of units per segment, ordered by a seeded rank of their rows.
 """
 
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,11 +241,31 @@ ShiftConstructionConfig = CovariateShiftSpec | BinaryLabelShiftSpec | Multiclass
 # CSV ingestion
 
 
-def _parse_numeric(cell: str):
-    try:
-        return float(cell)
-    except ValueError:
-        return None
+def _numbers(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell as ``float`` reads it, NaN where it does not, and the mask of cells it reads."""
+    values = np.full(len(cells), np.nan)
+    numeric = np.zeros(len(cells), dtype=bool)
+    for r, cell in enumerate(cells):
+        try:
+            values[r] = float(cell)
+        except ValueError:
+            continue
+        numeric[r] = True
+    return values, numeric
+
+
+def _first_appearance_ids(cells, names=()) -> tuple[np.ndarray, list]:
+    """Each cell's id and the names by id: ``names`` keep their ids, new values follow by first appearance."""
+    names = list(names)
+    lookup = {name: i for i, name in enumerate(names)}
+    ids = np.empty(len(cells), dtype=np.int64)
+    for r, cell in enumerate(cells):
+        i = lookup.get(cell)
+        if i is None:
+            i = lookup[cell] = len(names)
+            names.append(cell)
+        ids[r] = i
+    return ids, names
 
 
 def load_csv(
@@ -256,11 +281,14 @@ def load_csv(
 
     Numeric feature columns are parsed as 64-bit reals; columns with any
     non-numeric cell are one-hot encoded as ``col=value`` with categories in
-    lexicographic order. Segment strings map to ids by first appearance.
+    lexicographic order. Segment and group strings map to ids by first
+    appearance. Column names must not repeat.
 
     ``feature_columns`` / ``segment_names`` align this file to a previously
     loaded dataset's encoding and segment vocabulary (unseen categories
-    encode as all zeros with a warning; unseen segments get new ids).
+    encode as all zeros with a warning; unseen segments get new ids). Such a
+    load reads only the feature columns the encoding names, as ``c`` or
+    ``c=...``, and ignores the others with one warning.
     ``label_col=None`` fills labels with zeros (prediction-only inputs).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -272,54 +300,48 @@ def load_csv(
         rows = list(reader)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    repeated = sorted(c for c, times in Counter(header).items() if times > 1)
+    if repeated:
+        raise DataError(f"{path}: repeated column names {repeated}")
     for col in filter(None, (label_col, segment_col, group_col)):
         if col not in header:
             raise DataError(f"{path}: missing column {col!r}")
-    col_idx = {name: i for i, name in enumerate(header)}
-    reserved = {segment_col} | ({label_col} if label_col else set()) | (
-        {group_col} if group_col else set()
-    )
-    feature_cols = [c for c in header if c not in reserved]
-
-    n = len(rows)
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
+    n = len(rows)
+    column = dict(zip(header, zip(*rows)))
+    feature_cols = [c for c in header if c not in (segment_col, label_col, group_col)]
+    if feature_columns is not None:
+        # the encoding names a column c, or its categories as c=...
+        named = set(feature_columns)
+        named.update(f[:i] for f in feature_columns for i, ch in enumerate(f) if ch == "=")
+        ignored = [c for c in feature_cols if c not in named]
+        if ignored:
+            warnings.warn(
+                f"{path}: columns {ignored} are absent from the reference encoding and were not read"
+            )
+        feature_cols = [c for c in feature_cols if c in named]
 
-    # decide numeric vs categorical per feature column; any non-finite
-    # numeric cell is rejected outright
-    parsed: dict[str, list] = {}
-    categorical: dict[str, bool] = {}
-    for c in feature_cols:
-        i = col_idx[c]
-        vals = []
-        is_cat = False
-        for r, row in enumerate(rows):
-            v = _parse_numeric(row[i])
-            if v is not None and not np.isfinite(v):
-                raise DataError(f"{path}: non-finite value at row {r + 2}, column {c!r}")
-            if v is None:
-                is_cat = True
-            vals.append(v if v is not None else row[i])
-        if is_cat:
-            vals = [row[col_idx[c]] for row in rows]
-        parsed[c] = vals
-        categorical[c] = is_cat
-
+    # a column with any non-numeric cell is categorical; a non-finite
+    # numeric cell is rejected outright, in either kind of column
     blocks = []
     names: list[str] = []
     for c in feature_cols:
-        if not categorical[c]:
-            blocks.append(np.asarray(parsed[c], dtype=np.float64).reshape(n, 1))
+        values, numeric = _numbers(column[c])
+        bad = np.flatnonzero(numeric & ~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"{path}: non-finite value at row {bad[0] + 2}, column {c!r}")
+        if numeric.all():
+            blocks.append(values.reshape(n, 1))
             names.append(c)
-        else:
-            cats = sorted(set(parsed[c]))
-            block = np.zeros((n, len(cats)))
-            lookup = {v: j for j, v in enumerate(cats)}
-            for r, v in enumerate(parsed[c]):
-                block[r, lookup[v]] = 1.0
-            blocks.append(block)
-            names.extend(f"{c}={v}" for v in cats)
+            continue
+        ids, cats = _first_appearance_ids(column[c])
+        order = sorted(range(len(cats)), key=cats.__getitem__)
+        block = np.zeros((n, len(cats)))
+        block[np.arange(n), np.argsort(order)[ids]] = 1.0
+        blocks.append(block)
+        names.extend(f"{c}={cats[j]}" for j in order)
     features = np.hstack(blocks) if blocks else np.zeros((n, 0))
 
     if feature_columns is not None:
@@ -337,44 +359,24 @@ def load_csv(
                 aligned[:, j] = features[:, pos[name]]
         features, names = aligned, target
 
-    seg_raw = [row[col_idx[segment_col]] for row in rows]
-    seg_names = list(segment_names) if segment_names is not None else []
-    seg_lookup = {s: i for i, s in enumerate(seg_names)}
-    seg_ids = np.empty(n, dtype=np.int64)
-    for r, s in enumerate(seg_raw):
-        if s not in seg_lookup:
-            seg_lookup[s] = len(seg_names)
-            seg_names.append(s)
-        seg_ids[r] = seg_lookup[s]
+    seg_ids, seg_names = _first_appearance_ids(column[segment_col], segment_names or ())
 
     if label_col is None:
         labels = np.zeros(n)
     else:
-        i = col_idx[label_col]
-        labels = np.empty(n)
-        for r, row in enumerate(rows):
-            v = _parse_numeric(row[i])
-            if v is None or not np.isfinite(v):
-                raise DataError(
-                    f"{path}: unparseable label at row {r + 2}, column {label_col!r}"
-                )
-            labels[r] = v
+        labels, _ = _numbers(column[label_col])
+        bad = np.flatnonzero(~np.isfinite(labels))
+        if bad.size:
+            raise DataError(
+                f"{path}: unparseable label at row {bad[0] + 2}, column {label_col!r}"
+            )
         if task.is_classification:
             rounded = np.rint(labels)
             if np.any(np.abs(labels - rounded) > 1e-9):
                 raise DataError(f"{path}: classification labels must be integers")
             labels = rounded
 
-    group = None
-    if group_col is not None:
-        graw = [row[col_idx[group_col]] for row in rows]
-        glookup: dict[str, int] = {}
-        group = np.empty(n, dtype=np.int64)
-        for r, gs in enumerate(graw):
-            if gs not in glookup:
-                glookup[gs] = len(glookup)
-            group[r] = glookup[gs]
-
+    group = None if group_col is None else _first_appearance_ids(column[group_col])[0]
     return Dataset(
         features=features,
         labels=labels,
@@ -439,17 +441,38 @@ def _largest_remainder_counts(sizes: np.ndarray, frac: float, total_target: int,
     return base
 
 
+def _unit_walk(data: Dataset, rank: np.ndarray):
+    """(rows in walk order, each unit's row count, each unit's rows before it in its segment).
+
+    The walk takes segments in id order and, inside a segment, units by the
+    rank of their first row, the lowest rank among their rows. A unit's rows
+    are adjacent in the walk, so a unit starts a segment when it has no rows
+    before it. Groups must not span segments (``_segment_group_check``).
+    """
+    unit = np.arange(data.n) if data.group_id is None else data.group_id
+    _, unit_index = np.unique(unit, return_inverse=True)
+    first_rank = np.full(data.n, data.n)
+    np.minimum.at(first_rank, unit_index, rank)
+    key = data.segment_id * data.n + first_rank[unit_index]
+    walk = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[walk], prepend=-1))
+    new_segment = np.diff(data.segment_id[walk[starts]], prepend=-1) != 0
+    segment_start = np.maximum.accumulate(np.where(new_segment, starts, 0))
+    return walk, np.diff(starts, append=data.n), starts - segment_start
+
+
 def split_base_tune(data: Dataset, varsigma: float, seed: int) -> SplitPlan:
     """Segment-stratified (and group-aware) base/tune split.
 
-    The split is driven by one global random permutation, so renaming or
-    permuting segment labels leaves every segment's row assignment
-    unchanged.
+    Each segment's base fold takes whole units in walk order until it holds
+    the segment's count, and leaves the last unit to the tune fold unless it
+    is the only one. The split is driven by one global random permutation,
+    so renaming or permuting segment labels leaves every segment's row
+    assignment unchanged.
     """
     if not 0.0 < varsigma < 1.0:
         raise ValueError("varsigma must be in (0, 1)")
-    segs = data.present_segments()
-    sizes = np.asarray([len(data.segment_rows(s)) for s in segs])
+    segs, first_rows, sizes = np.unique(data.segment_id, return_index=True, return_counts=True)
     for s, ns in zip(segs, sizes):
         if ns < 2:
             raise DataError(
@@ -457,76 +480,46 @@ def split_base_tune(data: Dataset, varsigma: float, seed: int) -> SplitPlan:
             )
     _segment_group_check(data)
     rank = make_rng(seed, "split").permutation(data.n)
-    order_key = [int(data.segment_rows(s).min()) for s in segs]
     counts = _largest_remainder_counts(
-        sizes, varsigma, int(round(varsigma * data.n)), order_key
+        sizes, varsigma, int(round(varsigma * data.n)), first_rows
     )
-    base_parts = []
-    tune_parts = []
-    for s, k in zip(segs, counts):
-        rows = data.segment_rows(s)
-        if data.group_id is None:
-            ordered = rows[np.argsort(rank[rows], kind="stable")]
-            base_parts.append(ordered[:k])
-            tune_parts.append(ordered[k:])
-        else:
-            groups = {}
-            for r in rows:
-                groups.setdefault(int(data.group_id[r]), []).append(int(r))
-            glist = sorted(groups.values(), key=lambda rs: min(rank[r] for r in rs))
-            taken: list[int] = []
-            rest: list[int] = []
-            for g_rows in glist:
-                if len(taken) < k:
-                    taken.extend(g_rows)
-                else:
-                    rest.extend(g_rows)
-            if not rest and len(glist) > 1:
-                rest = glist[-1]
-                taken = [r for g_rows in glist[:-1] for r in g_rows]
-            base_parts.append(np.asarray(sorted(taken), dtype=np.int64))
-            tune_parts.append(np.asarray(sorted(rest), dtype=np.int64))
-    base = np.sort(np.concatenate(base_parts))
-    tune = np.sort(np.concatenate(tune_parts))
-    return SplitPlan(base_indices=base, tune_indices=tune, varsigma=varsigma)
+    walk, unit_rows, before = _unit_walk(data, rank)
+    # each unit's position in segs: the walk takes segments in id order
+    segment = np.cumsum(before == 0) - 1
+    last = np.append(before[1:] == 0, True)
+    in_base = np.repeat((before < counts[segment]) & ~(last & (before > 0)), unit_rows)
+    return SplitPlan(
+        base_indices=np.sort(walk[in_base]), tune_indices=np.sort(walk[~in_base]), varsigma=varsigma
+    )
 
 
 def kfold_plan(data: Dataset, k: int, seed: int):
-    """Segment-stratified, group-aware k-fold partition of 0..n-1."""
+    """Segment-stratified, group-aware k-fold partition of 0..n-1.
+
+    Inside each segment, each unit in walk order goes to the fold with the
+    fewest rows so far, the lowest-numbered on a tie.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
-    segs = data.present_segments()
-    for s in segs:
-        if len(data.segment_rows(s)) < k:
+    segs, sizes = np.unique(data.segment_id, return_counts=True)
+    for s, ns in zip(segs, sizes):
+        if ns < k:
             raise DataError(
                 f"segment {data.segment_names[s]!r} has fewer than {k} rows"
             )
     _segment_group_check(data)
     rank = make_rng(seed, "kfold").permutation(data.n)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for s in segs:
-        rows = data.segment_rows(s)
-        if data.group_id is None:
-            ordered = rows[np.argsort(rank[rows], kind="stable")]
-            for j, r in enumerate(ordered):
-                folds[j % k].append(int(r))
-        else:
-            groups: dict[int, list[int]] = {}
-            for r in rows:
-                groups.setdefault(int(data.group_id[r]), []).append(int(r))
-            glist = sorted(groups.values(), key=lambda rs: min(rank[r] for r in rs))
-            sizes = [0] * k
-            for g_rows in glist:
-                j = int(np.argmin(sizes))
-                folds[j].extend(g_rows)
-                sizes[j] += len(g_rows)
-    plans = []
-    all_idx = np.arange(data.n)
-    for j in range(k):
-        valid = np.asarray(sorted(folds[j]), dtype=np.int64)
-        train = np.setdiff1d(all_idx, valid, assume_unique=False)
-        plans.append((train, valid))
-    return plans
+    walk, unit_rows, before = _unit_walk(data, rank)
+    unit_fold = []
+    for rows, rows_before in zip(unit_rows.tolist(), before.tolist()):
+        if rows_before == 0:
+            fold_rows = [0] * k
+        j = fold_rows.index(min(fold_rows))
+        unit_fold.append(j)
+        fold_rows[j] += rows
+    fold = np.empty(data.n, dtype=np.int64)
+    fold[walk] = np.repeat(unit_fold, unit_rows)
+    return [(np.flatnonzero(fold != j), np.flatnonzero(fold == j)) for j in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -157,19 +157,36 @@ class Forest:
         return d
 
 
-def _index_column(doc: dict, key: str, what: str = "tree node") -> np.ndarray:
-    """One int32 index column of the trees, rejecting non-integers.
+def json_numbers(values, what: str, integer: bool = False) -> np.ndarray:
+    """A JSON list of numbers as float64, or of integers as int64 with ``integer``.
 
-    The list is read with the dtype JSON gave it, so that ``1.5`` is
-    rejected rather than truncated to ``1``, and must fit int32. A JSON
-    boolean is not an integer, though numpy reads one among ints as 0 or 1.
+    Any other value is rejected: a boolean, a string, a null or a nested
+    list, where numpy would read ``true`` as 1 and ``"0.5"`` as 0.5, and
+    with ``integer`` a fraction, so that ``1.5`` is not truncated to ``1``.
+    The check is one pass over the list's types.
     """
-    values = doc[key]
-    raw = np.array(values)
-    if raw.shape == (0,):  # an empty list reads as float64
-        raw = raw.astype(np.int32)
-    if raw.ndim != 1 or raw.dtype.kind not in "iu" or bool in set(map(type, values)):
-        raise ValueError(f"{what} {key!r} values are not all integers")
+    kinds, dtype, kind_name = (
+        ({int}, np.int64, "integers") if integer else ({int, float}, np.float64, "numbers")
+    )
+    if type(values) is not list or not set(map(type, values)) <= kinds:
+        raise ValueError(f"{what} values are not all {kind_name}")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{what} value outside the int64 range") from None
+
+
+def json_number(value, what: str, integer: bool = False):
+    """``value``, once it is a JSON number (an integer with ``integer``) and not a boolean."""
+    kinds, kind_name = (int, "an integer") if integer else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{what} {value!r} is not {kind_name}")
+    return value
+
+
+def _index_column(doc: dict, key: str, what: str = "tree node") -> np.ndarray:
+    """One int32 index column of the trees: JSON integers (``json_numbers``) that fit int32."""
+    raw = json_numbers(doc[key], f"{what} {key!r}", integer=True)
     out = raw.astype(np.int32)
     if np.any(out != raw):
         raise ValueError(f"{what} {key!r} value outside the int32 range")
@@ -194,7 +211,9 @@ def _read_trees(doc: dict, n_features: int, width: int) -> Forest:
         raise ValueError(f"tree class_k outside [0, {width})")
     offsets = np.append(0, sizes.cumsum(dtype=np.intp))
     feature, left, right = (_index_column(doc, key) for key in ("feature", "left", "right"))
-    threshold, value = (np.array(doc[key], dtype=np.float64) for key in ("threshold", "value"))
+    threshold, value = (
+        json_numbers(doc[key], f"tree node {key!r}") for key in ("threshold", "value")
+    )
     for key, column in zip(_NODE_FIELDS, (feature, threshold, left, right, value)):
         if column.shape != (offsets[-1],):
             raise ValueError(
@@ -401,11 +420,11 @@ class GBTModel:
     @classmethod
     def from_dict(cls, d: dict) -> "GBTModel":
         loss = LossKind(d["loss"], d["n_classes"])
-        n_features = int(d["n_features"])
+        n_features = json_number(d["n_features"], "n_features", integer=True)
         width = loss.margin_width
         init = d["init_margin"]
         if init is not None:
-            init = np.asarray(init, dtype=np.float64)
+            init = json_numbers(init, "init_margin")
             if init.shape != (width,):
                 raise ValueError(f"init_margin must hold {width} values")
             if not np.isfinite(init).all():
@@ -415,7 +434,7 @@ class GBTModel:
             n_features=n_features,
             trees=_read_trees(d["trees"], n_features, width),
             init_margin=init,
-            learning_rate=float(d["learning_rate"]),
+            learning_rate=float(json_number(d["learning_rate"], "learning_rate")),
         )
 
 

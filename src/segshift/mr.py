@@ -34,7 +34,7 @@ from .learners import (
     losses,
     refine_config,
 )
-from .learners.gbt import stacked_margins
+from .learners.gbt import json_number, json_numbers, stacked_margins
 from .learners.linear import fit_glm
 from .segmentation import (
     ClusterAssignment,
@@ -330,10 +330,16 @@ class Stage1Model:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Stage1Model":
+        """The model of its dict; the intercept is one JSON number, or a list of them for softmax."""
+        intercept = d["intercept"]
+        if isinstance(intercept, list):
+            intercept = json_numbers(intercept, "stage 1 intercept")
+        else:
+            intercept = np.float64(json_number(intercept, "stage 1 intercept"))
         return cls(
-            beta=np.asarray(d["beta"], dtype=np.float64),
-            intercept=np.asarray(d["intercept"], dtype=np.float64),
-            lambda_used=float(d["lambda_used"]),
+            beta=json_numbers(d["beta"], "stage 1 beta"),
+            intercept=np.asarray(intercept),
+            lambda_used=float(json_number(d["lambda_used"], "stage 1 lambda_used")),
             ball_warning=bool(d["ball_warning"]),
         )
 
@@ -561,7 +567,7 @@ class DRModel:
         _check_format_version(d)
         task = TaskKind(d["task"]["kind"], d["task"]["n_classes"])
         with_segment_features = d["kind"] == "dr-sf"
-        n_segments = int(d["n_segments"])
+        n_segments = json_number(d["n_segments"], "n_segments", integer=True)
         n_features = len(d["feature_names"]) + (n_segments if with_segment_features else 0)
         base, refiner = (
             _check_model(GBTModel.from_dict(d[role]), task_loss(task), n_features, role)

@@ -278,9 +278,6 @@ class ClusterAssignment:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def all_segments(self) -> tuple:
-        return tuple(sorted(s for c in self.clusters for s in c))
-
 
 def _ward_merge_sequence(d: np.ndarray):
     """Greedy Ward merges on a matrix of squared distances.

@@ -178,6 +178,60 @@ def test_fit_runtime_data_error_exit_3(tmp_path):
     assert code == 3
 
 
+def _add_user_column(tmp_path):
+    """Give the simulated train.csv and test.csv a ``user`` column of five rows per user.
+
+    Users are named by segment, so each stays inside its segment.
+    """
+    for name in ("train.csv", "test.csv"):
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        users = [f"{row.rsplit(',', 1)[1]}-u{i // 5}" for i, row in enumerate(rows)]
+        lines = [f"{header},user"] + [f"{row},{user}" for row, user in zip(rows, users)]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+
+
+def test_fit_with_group_col_is_deterministic(tmp_path, recwarn):
+    run(simulate_args(tmp_path))
+    _add_user_column(tmp_path)
+    args = fit_args(tmp_path, extra=("--group-col", "user"))
+    assert run(args) == 0
+    first = (tmp_path / "model.json").read_bytes(), (tmp_path / "fit_report.json").read_bytes()
+    assert json.loads(first[0])["feature_names"] == ["x1", "x2", "x3", "x4"]
+    # the test file's user column is not in the training encoding: one warning, nothing encoded
+    test_csv = tmp_path / "test.csv"
+    assert [str(w.message) for w in recwarn] == [
+        f"{test_csv}: columns ['user'] are absent from the reference encoding and were not read"
+    ]
+    assert run(args) == 0
+    assert ((tmp_path / "model.json").read_bytes(), (tmp_path / "fit_report.json").read_bytes()) == first
+
+
+def test_fit_group_spanning_segments_exit_3(tmp_path, capsys, recwarn):
+    run(simulate_args(tmp_path))
+    _add_user_column(tmp_path)
+    train = tmp_path / "train.csv"
+    header, *rows = train.read_text().splitlines()
+    # the first row (segment 1) joins the last row's user (segment 3); ids follow first appearance
+    rows[0] = rows[0].rsplit(",", 1)[0] + "," + rows[-1].rsplit(",", 1)[1]
+    train.write_text("\n".join([header, *rows]) + "\n")
+    assert run(fit_args(tmp_path, extra=("--group-col", "user"))) == 3
+    assert "group 0 spans segments [0, 2]" in capsys.readouterr().err
+
+
+def test_fit_missing_group_col_exit_2(tmp_path, capsys):
+    run(simulate_args(tmp_path))
+    assert run(fit_args(tmp_path, extra=("--group-col", "user"))) == 2
+    assert "missing column 'user'" in capsys.readouterr().err
+
+
+def test_repeated_column_name_exit_2(tmp_path, capsys):
+    run(simulate_args(tmp_path))
+    train = tmp_path / "train.csv"
+    train.write_text(train.read_text().replace("x1,x2,", "x1,x1,", 1))
+    assert run(fit_args(tmp_path)) == 2
+    assert "repeated column names ['x1']" in capsys.readouterr().err
+
+
 def test_predict_feature_only_input(tmp_path, recwarn):
     # prediction inputs may omit the label column and must not warn about it
     run(simulate_args(tmp_path))
@@ -631,6 +685,28 @@ def _zero_min_cluster_size(doc):
     doc["config"]["min_cluster_size"] = 0
 
 
+def _boolean_leaf(doc):
+    trees = doc["ensemble"]["models"][0]["trees"]
+    trees["value"][trees["feature"].index(-1)] = True
+
+
+def _string_threshold(doc):
+    trees = doc["ensemble"]["models"][0]["trees"]
+    trees["threshold"][0] = "0.5"
+
+
+def _boolean_stage1_beta(doc):
+    next(iter(doc["segments"].values()))["stage1"]["beta"][0] = True
+
+
+def _string_lambda_used(doc):
+    next(iter(doc["segments"].values()))["stage1"]["lambda_used"] = "1e-8"
+
+
+def _fractional_n_features(doc):
+    doc["ensemble"]["models"][0]["n_features"] = 4.7
+
+
 def _v1_trees(trees):
     """Node columns in the version-1 layout: one dict per node, a list per tree."""
     fields = ("feature", "threshold", "left", "right", "value")
@@ -670,11 +746,17 @@ def _format_version_99(doc):
         (_zero_min_cluster_size, "min_cluster_size must be an integer >= 1"),
         (_format_version_1, "format_version 1 is not 2, the only one this segshift reads; re-fit"),
         (_format_version_99, "format_version 99 is not 2, the only one this segshift reads; re-fit"),
+        (_boolean_leaf, "tree node 'value' values are not all numbers"),
+        (_string_threshold, "tree node 'threshold' values are not all numbers"),
+        (_boolean_stage1_beta, "stage 1 beta values are not all numbers"),
+        (_string_lambda_used, "stage 1 lambda_used '1e-8' is not a number"),
+        (_fractional_n_features, "n_features 4.7 is not an integer"),
     ],
     ids=["nan-leaf", "infinite-init-margin", "short-stage1-beta", "nan-lambda-used",
          "zero-lambda-used", "infinite-lambda-max", "nan-bandwidth", "infinite-bandwidth",
          "negative-eta", "zero-clusters", "small-max-per-segment", "zero-min-cluster-size",
-         "format-version-1", "format-version-99"],
+         "format-version-1", "format-version-99", "boolean-leaf", "string-threshold",
+         "boolean-stage1-beta", "string-lambda-used", "fractional-n-features"],
 )
 def test_predict_model_with_bad_numbers_exit_2(tmp_path, capsys, corrupt, message):
     # JSON's NaN and Infinity parse, and a short beta only fails at predict time

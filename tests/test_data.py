@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from segshift import (
     DataError,
     Dataset,
     MulticlassLabelShiftSpec,
+    SplitPlan,
     SyntheticConfig,
     TaskKind,
     construct_shift,
@@ -17,6 +20,7 @@ from segshift import (
     split_base_tune,
     write_csv,
 )
+from segshift._seeds import make_rng
 
 
 def decode_onehot_categories(feature_names) -> dict:
@@ -115,6 +119,50 @@ def test_load_csv_unseen_category_encodes_zero(tmp_path):
             segment_names=ds.segment_names,
         )
     np.testing.assert_array_equal(aligned.features, [[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "header, repeated",
+    [("x,x,y,__segment__", "['x']"), ("y,x,y,__segment__", "['y']")],
+)
+def test_load_csv_rejects_repeated_column_names(tmp_path, header, repeated):
+    # a repeated name would leave one of its columns unread
+    path = tmp_path / "d.csv"
+    path.write_text(f"{header}\n1,2,3,a\n")
+    with pytest.raises(DataError, match=re.escape(f"repeated column names {repeated}")):
+        load_csv(path, label_col="y", segment_col="__segment__", task=TaskKind.regression())
+
+
+def test_load_csv_group_ids_follow_first_appearance(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x,user,seg,y\n1,u9,a,0\n2,u1,a,0\n3,u9,a,0\n4,u5,b,0\n5,u1,a,0\n")
+    ds = load_csv(path, label_col="y", segment_col="seg", task=TaskKind.regression(), group_col="user")
+    np.testing.assert_array_equal(ds.group_id, [0, 1, 0, 2, 1])
+    assert ds.feature_names == ("x",)
+
+
+def test_aligned_load_reads_only_the_columns_the_encoding_names(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("x,color,user,seg,y\n1,a,u1,s,1\n2,b,u2,s,2\n")
+    ds = load_csv(train, label_col="y", segment_col="seg", task=TaskKind.regression(), group_col="user")
+    assert ds.feature_names == ("x", "color=a", "color=b")
+    test = tmp_path / "test.csv"
+    # the unread columns hold a group id and a value no feature column may hold
+    test.write_text("user,x,extra,color,seg,y\nu7,3,inf,b,s,1\nu8,4,nan,a,s,2\n")
+    with pytest.warns(UserWarning) as record:
+        aligned = load_csv(
+            test,
+            label_col="y",
+            segment_col="seg",
+            task=TaskKind.regression(),
+            feature_columns=ds.feature_names,
+            segment_names=ds.segment_names,
+        )
+    assert [str(w.message) for w in record] == [
+        f"{test}: columns ['user', 'extra'] are absent from the reference encoding and were not read"
+    ]
+    assert aligned.feature_names == ds.feature_names
+    np.testing.assert_array_equal(aligned.features, [[3.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
 
 
 def test_write_then_load_roundtrip(tmp_path):
@@ -237,6 +285,200 @@ def test_kfold_small_segment_errors():
     ds = make_dataset(9, n_segments=3)
     with pytest.raises(DataError, match="fewer than 4"):
         kfold_plan(ds, 4, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# both splits against the per-segment loops they replaced
+
+
+def _reference_largest_remainder_counts(sizes, frac, total_target, order_key):
+    base = np.floor(sizes * frac).astype(np.int64)
+    base = np.minimum(np.maximum(base, 1), sizes - 1)
+    remainders = sizes * frac - np.floor(sizes * frac)
+    order = sorted(range(len(sizes)), key=lambda s: (-remainders[s], order_key[s]))
+    diff = total_target - int(base.sum())
+    i = 0
+    while diff != 0 and i < 4 * len(sizes):
+        s = order[i % len(sizes)]
+        if diff > 0 and base[s] < sizes[s] - 1:
+            base[s] += 1
+            diff -= 1
+        elif diff < 0 and base[s] > 1:
+            base[s] -= 1
+            diff += 1
+        i += 1
+    return base
+
+
+def _reference_group_check(data):
+    if data.group_id is None:
+        return
+    for g in np.unique(data.group_id):
+        segs = np.unique(data.segment_id[data.group_id == g])
+        if len(segs) > 1:
+            raise DataError(f"group {g} spans segments {segs.tolist()}")
+
+
+def reference_split_base_tune(data, varsigma, seed):
+    """The split as one loop per segment, with a branch for grouped data."""
+    if not 0.0 < varsigma < 1.0:
+        raise ValueError("varsigma must be in (0, 1)")
+    segs = data.present_segments()
+    sizes = np.asarray([len(data.segment_rows(s)) for s in segs])
+    for s, ns in zip(segs, sizes):
+        if ns < 2:
+            raise DataError(
+                f"segment {data.segment_names[s]!r} has {ns} row(s); need >= 2 to split"
+            )
+    _reference_group_check(data)
+    rank = make_rng(seed, "split").permutation(data.n)
+    order_key = [int(data.segment_rows(s).min()) for s in segs]
+    counts = _reference_largest_remainder_counts(
+        sizes, varsigma, int(round(varsigma * data.n)), order_key
+    )
+    base_parts = []
+    tune_parts = []
+    for s, k in zip(segs, counts):
+        rows = data.segment_rows(s)
+        if data.group_id is None:
+            ordered = rows[np.argsort(rank[rows], kind="stable")]
+            base_parts.append(ordered[:k])
+            tune_parts.append(ordered[k:])
+        else:
+            groups = {}
+            for r in rows:
+                groups.setdefault(int(data.group_id[r]), []).append(int(r))
+            glist = sorted(groups.values(), key=lambda rs: min(rank[r] for r in rs))
+            taken = []
+            rest = []
+            for g_rows in glist:
+                if len(taken) < k:
+                    taken.extend(g_rows)
+                else:
+                    rest.extend(g_rows)
+            if not rest and len(glist) > 1:
+                rest = glist[-1]
+                taken = [r for g_rows in glist[:-1] for r in g_rows]
+            base_parts.append(np.asarray(sorted(taken), dtype=np.int64))
+            tune_parts.append(np.asarray(sorted(rest), dtype=np.int64))
+    base = np.sort(np.concatenate(base_parts))
+    tune = np.sort(np.concatenate(tune_parts))
+    return SplitPlan(base_indices=base, tune_indices=tune, varsigma=varsigma)
+
+
+def reference_kfold_plan(data, k, seed):
+    """The k-fold partition as one loop per segment, with a branch for grouped data."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    segs = data.present_segments()
+    for s in segs:
+        if len(data.segment_rows(s)) < k:
+            raise DataError(
+                f"segment {data.segment_names[s]!r} has fewer than {k} rows"
+            )
+    _reference_group_check(data)
+    rank = make_rng(seed, "kfold").permutation(data.n)
+    folds = [[] for _ in range(k)]
+    for s in segs:
+        rows = data.segment_rows(s)
+        if data.group_id is None:
+            ordered = rows[np.argsort(rank[rows], kind="stable")]
+            for j, r in enumerate(ordered):
+                folds[j % k].append(int(r))
+        else:
+            groups = {}
+            for r in rows:
+                groups.setdefault(int(data.group_id[r]), []).append(int(r))
+            glist = sorted(groups.values(), key=lambda rs: min(rank[r] for r in rs))
+            sizes = [0] * k
+            for g_rows in glist:
+                j = int(np.argmin(sizes))
+                folds[j].extend(g_rows)
+                sizes[j] += len(g_rows)
+    plans = []
+    all_idx = np.arange(data.n)
+    for j in range(k):
+        valid = np.asarray(sorted(folds[j]), dtype=np.int64)
+        train = np.setdiff1d(all_idx, valid, assume_unique=False)
+        plans.append((train, valid))
+    return plans
+
+
+def random_split_dataset(seed, n_segments, min_rows, extra_rows, grouped, span):
+    """Segments of min_rows..min_rows + extra_rows rows in shuffled order, optionally in groups.
+
+    Each segment's rows fall in 1..rows groups with scattered ids, so
+    single-group and single-row segments occur; ``span`` moves one row into
+    a group of another segment.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(min_rows, min_rows + extra_rows + 1, size=n_segments)
+    segment = rng.permutation(np.repeat(np.arange(n_segments), sizes))
+    group = None
+    if grouped:
+        group = np.empty(len(segment), dtype=np.int64)
+        labels = rng.permutation(len(segment) * 3)
+        offset = 0
+        for s, ns in enumerate(sizes):
+            rows = np.flatnonzero(segment == s)
+            group[rows] = labels[offset + rng.integers(0, rng.integers(1, ns + 1), size=ns)]
+            offset += ns
+        if span and n_segments > 1:
+            group[np.flatnonzero(segment == 0)[0]] = group[np.flatnonzero(segment == 1)[0]]
+    return Dataset(
+        features=np.zeros((len(segment), 1)),
+        labels=np.zeros(len(segment)),
+        segment_id=segment,
+        segment_names=tuple(f"s{s}" for s in range(n_segments)),
+        feature_names=("x",),
+        task=TaskKind.regression(),
+        group_id=group,
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_indices(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n_segments=st.integers(1, 7),
+    min_rows=st.sampled_from([1, 2, 5]),
+    extra_rows=st.sampled_from([0, 1, 3, 10, 25]),
+    grouped=st.booleans(),
+    span=st.booleans(),
+    varsigma=st.floats(0.05, 0.95),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_splits_match_per_segment_reference(
+    data_seed, n_segments, min_rows, extra_rows, grouped, span, varsigma, k, seed
+):
+    ds = random_split_dataset(data_seed, n_segments, min_rows, extra_rows, grouped, span and grouped)
+    got, want = outcome(split_base_tune, ds, varsigma, seed), outcome(
+        reference_split_base_tune, ds, varsigma, seed
+    )
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_indices((got.base_indices, got.tune_indices), (want.base_indices, want.tune_indices))
+    got, want = outcome(kfold_plan, ds, k, seed), outcome(reference_kfold_plan, ds, k, seed)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert len(got) == len(want) == k
+        for got_fold, want_fold in zip(got, want):
+            assert_same_indices(got_fold, want_fold)
 
 
 # ---------------------------------------------------------------------------

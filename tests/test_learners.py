@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -808,6 +809,10 @@ def replace_tree(trees, i, columns):
         (dict(left=1.5), "not all integers"),  # would truncate to a valid child
         (dict(feature=0.0), "not all integers"),
         (dict(right=2**32 + 2), "int32 range"),  # would wrap to a valid child
+        (dict(right=2**64 + 2), "int64 range"),
+        (dict(value=True), "'value' values are not all numbers"),  # a float dtype reads 1.0
+        (dict(threshold="0.5"), "'threshold' values are not all numbers"),  # ... and 0.5
+        (dict(threshold=None), "'threshold' values are not all numbers"),
     ],
 )
 def test_gbt_from_dict_rejects_bad_tree_links(node0, match):
@@ -874,6 +879,19 @@ def test_gbt_from_dict_rejects_bad_class_and_init():
     doc["init_margin"] = [0.0, 1.0]
     with pytest.raises(ValueError, match="init_margin"):
         GBTModel.from_dict(doc)
+    for key, bad, match in [
+        ("init_margin", [True], "init_margin values are not all numbers"),
+        ("init_margin", ["0.5"], "init_margin values are not all numbers"),
+        ("n_features", 1.5, "n_features 1.5 is not an integer"),  # int() would read 1
+        ("n_features", True, "n_features True is not an integer"),
+        ("n_features", "1", "n_features '1' is not an integer"),
+        ("learning_rate", "0.1", "learning_rate '0.1' is not a number"),
+        ("learning_rate", True, "learning_rate True is not a number"),
+    ]:
+        doc = model.to_dict()
+        doc[key] = bad
+        with pytest.raises(ValueError, match=re.escape(match)):
+            GBTModel.from_dict(doc)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -566,6 +567,19 @@ def test_model_readers_reject_other_format_versions():
         del doc["format_version"]
         with pytest.raises(ValueError, match="format_version None"):
             reader(doc)
+
+
+def test_dr_reader_rejects_a_segment_count_that_is_not_an_integer():
+    from segshift import DRModel
+
+    train, test = small_sim(seed=6, n=300, segs=2)
+    cfg = quick_config(refine=refine_config(n_estimators=2))
+    doc = fit_dr(train, (test.features, test.segment_id), cfg, with_segment_features=True).to_dict()
+    DRModel.from_dict(doc)
+    for bad in (2.5, True, "2"):  # int() would read 2.5 as 2 and "2" as 2
+        doc["n_segments"] = bad
+        with pytest.raises(ValueError, match=re.escape(f"n_segments {bad!r} is not an integer")):
+            DRModel.from_dict(doc)
 
 
 def test_mr_unknown_segment_uses_all_segments_model():
