@@ -21,6 +21,9 @@ from ._seeds import make_rng
 
 SEGMENT_COLUMN = "__segment__"
 GROUP_COLUMN = "__group__"
+# Most entries of the encoded feature matrix that a one-hot column may bring
+# it to (512 MiB of float64), so a near-unique text column fails as bad input.
+ONE_HOT_MAX_ENTRIES = 1 << 26
 
 
 class DataError(ValueError):
@@ -281,8 +284,9 @@ def load_csv(
 
     Numeric feature columns are parsed as 64-bit reals; columns with any
     non-numeric cell are one-hot encoded as ``col=value`` with categories in
-    lexicographic order. Segment and group strings map to ids by first
-    appearance. Column names must not repeat.
+    lexicographic order; a column that would take the encoded features past
+    ``ONE_HOT_MAX_ENTRIES`` entries is rejected. Segment and group strings
+    map to ids by first appearance. Column names must not repeat.
 
     ``feature_columns`` / ``segment_names`` align this file to a previously
     loaded dataset's encoding and segment vocabulary (unseen categories
@@ -337,6 +341,12 @@ def load_csv(
             names.append(c)
             continue
         ids, cats = _first_appearance_ids(column[c])
+        width = len(names) + len(cats)
+        if n * width > ONE_HOT_MAX_ENTRIES:
+            raise DataError(
+                f"{path}: column {c!r} has {len(cats)} categories; encoded, the features "
+                f"would be {n} x {width} = {n * width} entries, over {ONE_HOT_MAX_ENTRIES}"
+            )
         order = sorted(range(len(cats)), key=cats.__getitem__)
         block = np.zeros((n, len(cats)))
         block[np.arange(n), np.argsort(order)[ids]] = 1.0
@@ -415,11 +425,14 @@ def write_csv(data: Dataset, path, label_name: str = "y") -> None:
 def _segment_group_check(data: Dataset) -> None:
     if data.group_id is None:
         return
-    # group-aware stratification needs groups nested inside segments
-    for g in np.unique(data.group_id):
-        segs = np.unique(data.segment_id[data.group_id == g])
-        if len(segs) > 1:
-            raise DataError(f"group {g} spans segments {segs.tolist()}")
+    # group-aware stratification needs groups nested inside segments; sorted
+    # by (group, segment), a spanning group changes segment within its run
+    order = np.lexsort((data.segment_id, data.group_id))
+    group, seg = data.group_id[order], data.segment_id[order]
+    spans = group[1:][(group[1:] == group[:-1]) & (seg[1:] != seg[:-1])]
+    if spans.size:
+        g = spans[0]
+        raise DataError(f"group {g} spans segments {np.unique(seg[group == g]).tolist()}")
 
 
 def _largest_remainder_counts(sizes: np.ndarray, frac: float, total_target: int, order_key):

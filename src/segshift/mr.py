@@ -134,7 +134,7 @@ class MRConfig:
 
     shift: str = "covariate"  # "covariate" | "label"
     weight_method: str | None = None  # default: discriminative / bbse by shift
-    eta: float = DEFAULT_ETA
+    eta: float = DEFAULT_ETA  # clips raw weights before the mean-1 rescale; not a bound on them
     varsigma: float = 0.8
     clusters: object = "auto"  # "auto" | int | explicit tuple of tuples
     min_cluster_size: int = 2

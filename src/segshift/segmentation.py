@@ -6,6 +6,12 @@ dimensions, an indicator ("delta") kernel on categorical ones. The distance
 matrix feeds a Ward-linkage agglomeration, with the matrix entries treated
 as squared distances (MMD values are squared RKHS distances between mean
 embeddings).
+
+A Gram matrix that is only summed is never built whole: ``gram_blocks``
+yields it in blocks of rows under one element budget. The distance matrix,
+``mmd_unbiased`` and KMM's kernel mean read their sums from those blocks.
+Each segment's rows meet its own rows and every later segment's rows in one
+pass, and each block is summed per partner segment.
 """
 
 import numbers
@@ -106,6 +112,11 @@ def median_bandwidth(x: np.ndarray, seed: int = 0) -> float:
     return med if med > 0 else 1.0
 
 
+# Most kernel entries in one block of a Gram that is only summed (1 MB of
+# float64); a block still holds at least one row.
+GRAM_BLOCK_ELEMENTS = 1 << 17
+
+
 def gram(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kernel matrix k(a_i, b_j); bandwidth must already be resolved."""
     if isinstance(kernel.bandwidth, str):
@@ -132,6 +143,42 @@ def gram(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k
 
 
+def gram_blocks(kernel: KernelSpec, a: np.ndarray, b: np.ndarray):
+    """Yield ``gram(kernel, a, b)`` over blocks of a's rows (see ``GRAM_BLOCK_ELEMENTS``)."""
+    rows = max(1, GRAM_BLOCK_ELEMENTS // len(b))
+    for i in range(0, len(a), rows):
+        yield gram(kernel, a[i : i + rows], b)
+
+
+def _mmd_matrix(kernel: KernelSpec, samples, n_threads: int, seed: int = 0) -> np.ndarray:
+    """Unbiased MMD^2 U-statistics between all pairs of ``samples``, unfloored.
+
+    A 'median' bandwidth is resolved from ``seed`` on the stacked samples.
+    Sample i's kernel sums with itself and each later sample come from its
+    rows' Gram blocks against the stack from i on, reduced per partner. The
+    within sum drops the diagonal as m: ``gram``'s diagonal is exactly 1.
+    """
+    stack = np.vstack(samples)
+    kernel = kernel.resolved(stack, seed)
+    starts = np.cumsum([0] + [len(s) for s in samples])
+    m = np.diff(starts).astype(np.float64)
+    sums = np.zeros((len(samples), len(samples)))
+
+    def add_kernel_sums(i):
+        own, rest = stack[starts[i] : starts[i + 1]], stack[starts[i] :]
+        for k in gram_blocks(kernel, own, rest):
+            sums[i, i:] += np.add.reduceat(k.sum(axis=0), starts[i:-1] - starts[i])
+
+    if n_threads > 1 and len(samples) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(add_kernel_sums, range(len(samples))))
+    else:
+        list(map(add_kernel_sums, range(len(samples))))
+    within = (np.diag(sums) - m) / (m * (m - 1))
+    upper = np.triu(within[:, None] + within - 2.0 * (sums / np.outer(m, m)), 1)
+    return upper + upper.T
+
+
 def mmd_unbiased(u: np.ndarray, v: np.ndarray, kernel: KernelSpec) -> float:
     """Unbiased MMD^2 U-statistic between two samples.
 
@@ -149,14 +196,7 @@ def mmd_unbiased(u: np.ndarray, v: np.ndarray, kernel: KernelSpec) -> float:
     # canonical operand order makes the estimator bitwise symmetric
     if (v.shape[0], v.tobytes()) < (u.shape[0], u.tobytes()):
         u, v = v, u
-    kernel = kernel.resolved(np.vstack([u, v]))
-    m1, m2 = u.shape[0], v.shape[0]
-    kuu = gram(kernel, u, u)
-    kvv = gram(kernel, v, v)
-    kuv = gram(kernel, u, v)
-    term_u = (kuu.sum() - np.trace(kuu)) / (m1 * (m1 - 1))
-    term_v = (kvv.sum() - np.trace(kvv)) / (m2 * (m2 - 1))
-    return float(term_u + term_v - 2.0 * kuv.mean())
+    return float(_mmd_matrix(kernel, [u, v], 1)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -223,35 +263,7 @@ def segment_distance_matrix(
     if kernel is None:
         cat = (0,) if train.task.is_classification else ()
         kernel = KernelSpec("median", cat)
-    kernel = kernel.resolved(np.vstack(samples), seed)
-
-    n_seg = len(segs)
-    values = np.zeros((n_seg, n_seg))
-    pairs = [(i, j) for i in range(n_seg) for j in range(i + 1, n_seg)]
-
-    # each segment's within-sample U-statistic term is shared by all its
-    # pairs; computing it once matches mmd_unbiased exactly (same kernel)
-    def within(i):
-        s = samples[i]
-        k = gram(kernel, s, s)
-        m = s.shape[0]
-        return (k.sum() - np.trace(k)) / (m * (m - 1))
-
-    def cross(pair):
-        i, j = pair
-        return gram(kernel, samples[i], samples[j]).mean()
-
-    if n_threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            self_terms = list(pool.map(within, range(n_seg)))
-            cross_terms = list(pool.map(cross, pairs))
-    else:
-        self_terms = [within(i) for i in range(n_seg)]
-        cross_terms = [cross(p) for p in pairs]
-    for (i, j), c in zip(pairs, cross_terms):
-        v = max(float(self_terms[i] + self_terms[j] - 2.0 * c), 0.0)
-        values[i, j] = v
-        values[j, i] = v
+    values = np.maximum(_mmd_matrix(kernel, samples, n_threads, seed), 0.0)
     return SegmentDistanceMatrix(
         values=values,
         segment_ids=tuple(segs),

@@ -27,8 +27,6 @@ from .learners import LOGISTIC, fit_linear
 from .segmentation import KernelSpec
 
 DEFAULT_ETA = 10.0
-# Kernel entries of one block of KMM's train-by-test Gram: 8 MB of float64.
-_GRAM_BLOCK_ELEMENTS = 1 << 20
 _PROB_CLIP = 1e-3
 KMM_MAX_ITER = 500
 
@@ -196,19 +194,6 @@ def _kmm_solve(g, kappa, n, eta, epsilon):
     return x, history
 
 
-def _gram_row_sums(kernel, a, b):
-    """``gram(kernel, a, b).sum(axis=1)``, over blocks of a's rows.
-
-    A block holds at most ``_GRAM_BLOCK_ELEMENTS`` kernel entries (at least
-    one row), so memory does not grow with the number of test rows. Each
-    row is reduced alone, so the sums are the whole matrix's, bit for bit.
-    """
-    rows = max(1, _GRAM_BLOCK_ELEMENTS // b.shape[0])
-    return np.concatenate(
-        [segmentation.gram(kernel, a[i : i + rows], b).sum(axis=1) for i in range(0, len(a), rows)]
-    )
-
-
 def fit_kmm(
     train_x: np.ndarray,
     test_x: np.ndarray,
@@ -244,7 +229,8 @@ def fit_kmm(
         raise ValueError("infeasible constraints: eta < 1 - epsilon")
     kernel = (kernel or KernelSpec()).resolved(np.vstack([train_x, test_x]))
     g = segmentation.gram(kernel, train_x, train_x)
-    kappa = (n / test_x.shape[0]) * _gram_row_sums(kernel, train_x, test_x)
+    blocks = segmentation.gram_blocks(kernel, train_x, test_x)
+    kappa = (n / test_x.shape[0]) * np.concatenate([k.sum(axis=1) for k in blocks])
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(kappa))):
         raise ValueError("non-finite Gram entries")
     w, _ = _kmm_solve(g, kappa, n, eta, epsilon)

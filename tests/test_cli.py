@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from segshift import GBTConfig, MRConfig, MRModel, TaskKind, load_csv, mr
+from segshift import data as data_module
 from segshift.cli import build_parser, main
 
 
@@ -230,6 +231,18 @@ def test_repeated_column_name_exit_2(tmp_path, capsys):
     train.write_text(train.read_text().replace("x1,x2,", "x1,x1,", 1))
     assert run(fit_args(tmp_path)) == 2
     assert "repeated column names ['x1']" in capsys.readouterr().err
+
+
+def test_one_hot_column_over_the_entry_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # a near-unique text column must end as bad input, not in a MemoryError
+    run(simulate_args(tmp_path))
+    train = tmp_path / "train.csv"
+    header, *rows = train.read_text().splitlines()
+    lines = [f"{header},note"] + [f"{row},n{i}" for i, row in enumerate(rows)]
+    train.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data_module, "ONE_HOT_MAX_ENTRIES", 1000)
+    assert run(fit_args(tmp_path)) == 2
+    assert f"column 'note' has {len(rows)} categories" in capsys.readouterr().err
 
 
 def test_predict_feature_only_input(tmp_path, recwarn):

@@ -20,6 +20,7 @@ from segshift import (
     split_base_tune,
     write_csv,
 )
+from segshift import data as data_module
 from segshift._seeds import make_rng
 
 
@@ -131,6 +132,17 @@ def test_load_csv_rejects_repeated_column_names(tmp_path, header, repeated):
     path.write_text(f"{header}\n1,2,3,a\n")
     with pytest.raises(DataError, match=re.escape(f"repeated column names {repeated}")):
         load_csv(path, label_col="y", segment_col="__segment__", task=TaskKind.regression())
+
+
+def test_load_csv_rejects_a_one_hot_block_over_the_entry_budget(tmp_path, monkeypatch):
+    # 3 rows x (x1 + 3 colors) = 12 entries: at a budget of 12 it loads, at 11 it is bad input
+    path = tmp_path / "d.csv"
+    path.write_text("x1,color,seg,y\n1,red,s,0\n2,blue,s,1\n3,green,s,0\n")
+    monkeypatch.setattr(data_module, "ONE_HOT_MAX_ENTRIES", 12)
+    assert load_csv(path, label_col="y", segment_col="seg", task=TaskKind.regression()).d == 4
+    monkeypatch.setattr(data_module, "ONE_HOT_MAX_ENTRIES", 11)
+    with pytest.raises(DataError, match=r"column 'color' has 3 categories.* 3 x 4 = 12 entries, over 11"):
+        load_csv(path, label_col="y", segment_col="seg", task=TaskKind.regression())
 
 
 def test_load_csv_group_ids_follow_first_appearance(tmp_path):

@@ -12,6 +12,7 @@ from segshift import (
     TaskKind,
     choose_num_clusters,
     cluster_segments,
+    fit_kmm,
     median_bandwidth,
     mmd_unbiased,
     segment_distance_matrix,
@@ -28,6 +29,18 @@ def brute_force_mmd(u, v, kfn):
     b = sum(kfn(v[i], v[j]) for i in range(m2) for j in range(m2) if i != j)
     c = sum(kfn(u[i], v[j]) for i in range(m1) for j in range(m2))
     return a / (m1 * (m1 - 1)) + b / (m2 * (m2 - 1)) - 2 * c / (m1 * m2)
+
+
+def reference_mmd(u, v, kernel):
+    """Unbiased MMD^2 from whole Gram matrices: the oracle of the blocked reduction."""
+    kernel = kernel.resolved(np.vstack([u, v]))
+    m1, m2 = u.shape[0], v.shape[0]
+    kuu = gram(kernel, u, u)
+    kvv = gram(kernel, v, v)
+    kuv = gram(kernel, u, v)
+    term_u = (kuu.sum() - np.trace(kuu)) / (m1 * (m1 - 1))
+    term_v = (kvv.sum() - np.trace(kvv)) / (m2 * (m2 - 1))
+    return float(term_u + term_v - 2.0 * kuv.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +80,18 @@ def test_mmd_exact_symmetry():
     assert mmd_unbiased(u, v, k) == mmd_unbiased(v, u, k)
     km = KernelSpec("median")
     assert mmd_unbiased(u, v, km) == mmd_unbiased(v, u, km)
+
+
+@pytest.mark.parametrize("cat", [(), (0,)])
+@pytest.mark.parametrize("bandwidth", [0.4, 2.0, "median"])
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 31), (40, 17), (300, 500)])
+def test_mmd_unbiased_matches_the_whole_gram_reference(sizes, bandwidth, cat):
+    rng = np.random.default_rng(sum(sizes))
+    u = rng.normal(size=(sizes[0], 3))
+    v = rng.normal(0.4, 1.2, size=(sizes[1], 3))
+    u[:, 0], v[:, 0] = rng.integers(0, 2, sizes[0]), rng.integers(0, 3, sizes[1])
+    kernel = KernelSpec(bandwidth, cat)
+    assert abs(mmd_unbiased(u, v, kernel) - reference_mmd(u, v, kernel)) <= 1e-14
 
 
 def test_mmd_rejects_singletons():
@@ -202,6 +227,65 @@ def test_distance_matrix_threads_identical():
     a = segment_distance_matrix(ds, seed=0, n_threads=1)
     b = segment_distance_matrix(ds, seed=0, n_threads=4)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def uneven_segments_dataset(task, sizes=(2, 9, 30, 17, 41), seed=4):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    x = rng.normal(size=(n, 2)) + 0.5 * seg[:, None]
+    y = rng.integers(0, 2, n) if task.is_classification else x.sum(axis=1) + rng.normal(0, 0.3, n)
+    return Dataset(
+        features=x,
+        labels=y,
+        segment_id=seg,
+        segment_names=tuple(f"s{s}" for s in range(len(sizes))),
+        feature_names=("x0", "x1"),
+        task=task,
+    )
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("budget", [1, 7, None])
+@pytest.mark.parametrize("task", [TaskKind.regression(), TaskKind.binary()])
+def test_distance_matrix_matches_the_whole_gram_reference(monkeypatch, task, budget, n_threads):
+    # 1 and 7 entries give one row per Gram block; the default gives each segment one block
+    if budget is not None:
+        monkeypatch.setattr(segmentation, "GRAM_BLOCK_ELEMENTS", budget)
+    ds = uneven_segments_dataset(task)
+    d = segment_distance_matrix(ds, seed=3, n_threads=n_threads)
+    samples = [segmentation._joint_sample(ds, ds.segment_rows(s)) for s in range(5)]
+    kernel = KernelSpec("median", (0,) if task.is_classification else ())
+    kernel = kernel.resolved(np.vstack(samples), 3)
+    for i, j in itertools.combinations(range(5), 2):
+        ref = max(reference_mmd(samples[i], samples[j], kernel), 0.0)
+        assert abs(d.values[i, j] - ref) <= 1e-14
+
+
+def test_gram_blocks_stay_within_the_element_budget(monkeypatch):
+    budget = 64
+    shapes = []
+    whole = segmentation.gram
+
+    def recording(kernel, a, b):
+        k = whole(kernel, a, b)
+        shapes.append(k.shape)
+        return k
+
+    monkeypatch.setattr(segmentation, "GRAM_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(segmentation, "gram", recording)
+    ds = uneven_segments_dataset(TaskKind.regression(), sizes=(12, 5, 20))
+    segment_distance_matrix(ds, kernel=KernelSpec(1.0))
+    # each segment's rows meet the stack from that segment on, in blocks
+    assert sum(r for r, _ in shapes) == ds.n and {c for _, c in shapes} == {37, 25, 20}
+    assert all(r * c <= budget for r, c in shapes)
+    shapes.clear()
+    rng = np.random.default_rng(0)
+    fit_kmm(rng.normal(size=(30, 2)), rng.normal(size=(25, 2)), kernel=KernelSpec(1.0))
+    # the solver's train x train Gram is whole; kappa's train x test Gram is blocked
+    assert shapes.count((30, 30)) == 1
+    kappa = [shape for shape in shapes if shape != (30, 30)]
+    assert sum(r for r, _ in kappa) == 30 and all(r * c <= budget for r, c in kappa)
 
 
 def test_distance_matrix_rejects_singleton_segment():

@@ -11,7 +11,7 @@ from segshift import (
     expand_class_weights,
     uniform_weights,
 )
-from segshift import weights
+from segshift import segmentation, weights
 from segshift.segmentation import gram
 from segshift.weights import (
     ClassWeightVector,
@@ -199,11 +199,12 @@ def test_kmm_kappa_in_row_blocks_equals_the_whole_gram(monkeypatch, block):
     kernel = KernelSpec(1.3, categorical_dims=(2,))
     train[:, 2] = test[:5, 2] = 1.0
     whole = gram(kernel, train, test).sum(axis=1)
-    monkeypatch.setattr(weights, "_GRAM_BLOCK_ELEMENTS", block)
-    np.testing.assert_array_equal(weights._gram_row_sums(kernel, train, test), whole)
+    monkeypatch.setattr(segmentation, "GRAM_BLOCK_ELEMENTS", block)
+    blocks = segmentation.gram_blocks(kernel, train, test)
+    np.testing.assert_array_equal(np.concatenate([k.sum(axis=1) for k in blocks]), whole)
     monkeypatch.undo()
     a = fit_kmm(train, test, kernel=kernel)
-    monkeypatch.setattr(weights, "_GRAM_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(segmentation, "GRAM_BLOCK_ELEMENTS", block)
     b = fit_kmm(train, test, kernel=kernel)
     np.testing.assert_array_equal(a.values, b.values)
 

@@ -1,7 +1,8 @@
 """Benchmark of segment clustering as the number of segments grows.
 
 Times the three steps of an ``auto`` cluster plan on a seeded synthetic
-regression set of S segments with 60 rows each, for S in {20, 100, 400}:
+regression set of S segments with n rows each, for (S, n) in (20, 60),
+(100, 60), (400, 60) and (8, 1500), the last being kmm-bigseg's shape:
 
 - ``distance_matrix``: ``segment_distance_matrix`` (pairwise MMD^2 of the
   segments' joint (label, features) samples, median bandwidth);
@@ -12,8 +13,9 @@ regression set of S segments with 60 rows each, for S in {20, 100, 400}:
 
 Segment s draws 3 features from N(mu_s, I) with mu_s one of 5 group means,
 and y = x0 + x1 * x2 + N(0, 0.3^2). Each figure is the median and the
-minimum, in seconds, over 3 runs. Run from the repository root; it prints
-one JSON object with the machine facts:
+minimum, in seconds, over 3 runs. ``distance_matrix_peak_mb`` is the
+``tracemalloc`` peak of one more, untimed, distance-matrix call. Run from
+the repository root; it prints one JSON object with the machine facts:
 
     python3 tools/cluster_bench.py
 """
@@ -23,6 +25,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +42,14 @@ from segshift.segmentation import (  # noqa: E402
     segment_distance_matrix,
 )
 
-ROWS_PER_SEGMENT = 60
+SHAPES = ((20, 60), (100, 60), (400, 60), (8, 1500))
 REPEATS = 3
 
 
-def dataset(n_segments, d=3, seed=0):
+def dataset(n_segments, rows_per_segment=60, d=3, seed=0):
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.5, size=(5, d))
-    seg = np.repeat(np.arange(n_segments), ROWS_PER_SEGMENT)
+    seg = np.repeat(np.arange(n_segments), rows_per_segment)
     x = rng.normal(size=(len(seg), d)) + means[seg % len(means)]
     y = x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(0, 0.3, len(seg))
     return Dataset(
@@ -74,23 +77,34 @@ def auto_cut(d):
     return cluster_segments(fresh, m)
 
 
-def bench(n_segments):
-    train = dataset(n_segments)
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
+def bench(n_segments, rows_per_segment):
+    train = dataset(n_segments, rows_per_segment)
     dist_t, d = timed(lambda: segment_distance_matrix(train))
+    peak_mb = traced_peak_mb(lambda: segment_distance_matrix(train))
     merge_t, _ = timed(lambda: _ward_merge_sequence(np.array(d.values)))
     cut_t, assignment = timed(lambda: auto_cut(d))
     return {
         "segments": n_segments,
-        "rows_per_segment": ROWS_PER_SEGMENT,
+        "rows_per_segment": rows_per_segment,
         "clusters": assignment.n_clusters,
         "distance_matrix": dist_t,
+        "distance_matrix_peak_mb": peak_mb,
         "merge_sequence": merge_t,
         "auto_cut": cut_t,
     }
 
 
 def main():
-    results = [bench(s) for s in (20, 100, 400)]
+    results = [bench(s, n) for s, n in SHAPES]
     machine = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
